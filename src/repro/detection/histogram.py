@@ -146,20 +146,6 @@ class HistogramDetector:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _bin_counts(self, embeddings: np.ndarray) -> np.ndarray:
-        """Per-sample per-dimension frequency counts hist_j(h_j)."""
-        d, m = self._counts.shape
-        out = np.empty(embeddings.shape, dtype=np.float64)
-        for j in range(d):
-            edges = self._edges[j]
-            positions = np.searchsorted(edges, embeddings[:, j], side="right") - 1
-            in_range = (embeddings[:, j] >= edges[0]) & (embeddings[:, j] <= edges[-1])
-            positions = np.clip(positions, 0, m - 1)
-            counts = self._counts[j][positions]
-            counts[~in_range] = 0.0
-            out[:, j] = counts
-        return out
-
     def _raw_scores(self, embeddings: np.ndarray) -> np.ndarray:
         """Eq. 10, gathered from the precomputed log-density surface.
 

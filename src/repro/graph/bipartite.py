@@ -199,38 +199,69 @@ class WeightedBipartiteGraph:
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "WeightedBipartiteGraph":
-        """Rebuild a graph saved by :meth:`state_dict`."""
+        """Rebuild a graph saved by :meth:`state_dict`.
+
+        The record arrays are slices of one private copy of the flat
+        edge arrays, so later changes to ``state`` never reach the
+        graph.  The MAC-side lists come from one stable sort of
+        ``edge_macs``: each MAC's edges stay in record order, exactly as
+        :meth:`add_record` would have appended them.
+        """
         graph = cls(weight_offset=float(state["weight_offset"]))
         for mac in state["mac_names"]:
             graph._intern_mac(str(mac))
         indptr = np.asarray(state["record_indptr"], dtype=np.int64)
-        edge_macs = np.asarray(state["edge_macs"], dtype=np.int64)
-        edge_weights = np.asarray(state["edge_weights"], dtype=np.float64)
-        if (len(edge_macs) != len(edge_weights)
+        edge_macs = np.array(state["edge_macs"], dtype=np.int64)
+        edge_weights = np.array(state["edge_weights"], dtype=np.float64)
+        if (indptr.ndim != 1 or edge_macs.ndim != 1 or edge_weights.ndim != 1
+                or len(edge_macs) != len(edge_weights)
                 or len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(edge_macs)
                 or (np.diff(indptr) < 0).any()):
             raise ValueError("graph state has inconsistent edge arrays")
         if len(edge_macs) and (edge_macs.min() < 0 or edge_macs.max() >= graph.num_macs):
             raise ValueError("graph state references a MAC index outside the name table")
-        for u in range(len(indptr) - 1):
-            lo, hi = indptr[u], indptr[u + 1]
-            macs = edge_macs[lo:hi].copy()
-            weights = edge_weights[lo:hi].copy()
-            graph._record_neighbors.append(macs)
-            graph._record_weights.append(weights)
-            for mac_idx, weight in zip(macs, weights):
-                graph._mac_neighbors[mac_idx].append(u)
-                graph._mac_weights[mac_idx].append(float(weight))
-            graph._num_edges += len(macs)
+        if not (np.isfinite(edge_weights) & (edge_weights > 0)).all():
+            raise ValueError("graph state has a non-positive or non-finite edge weight")
+        bounds = indptr.tolist()
+        num_records = len(bounds) - 1
+        graph._record_neighbors = [edge_macs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        graph._record_weights = [edge_weights[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        # The narrowest dtype that holds every MAC index sorts the same
+        # keys in the same stable order, and lets numpy radix-sort them.
+        order = np.argsort(edge_macs.astype(np.min_scalar_type(graph.num_macs)), kind="stable")
+        owners = np.repeat(np.arange(num_records, dtype=np.int64), np.diff(indptr))[order]
+        weights = edge_weights[order]
+        # One int object per record, shared by all its MAC-side entries
+        # as add_record shares it, rather than one object per edge; the
+        # lists are built per MAC so no edge-sized temporary list exists.
+        record_ids = list(range(num_records))
+        mac_bounds = [0] + np.cumsum(np.bincount(edge_macs, minlength=graph.num_macs)).tolist()
+        spans = list(zip(mac_bounds, mac_bounds[1:]))
+        graph._mac_neighbors = [list(map(record_ids.__getitem__, owners[lo:hi].tolist()))
+                                for lo, hi in spans]
+        graph._mac_weights = [weights[lo:hi].tolist() for lo, hi in spans]
+        graph._num_edges = len(edge_macs)
         graph.validate()
         return graph
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
-        forward = sum(len(n) for n in self._record_neighbors)
-        backward = sum(len(n) for n in self._mac_neighbors)
+        degrees = np.fromiter(map(len, self._record_neighbors), dtype=np.int64)
+        weight_counts = np.fromiter(map(len, self._record_weights), dtype=np.int64)
+        forward = int(degrees.sum())
+        backward = sum(map(len, self._mac_neighbors))
         assert forward == backward == self._num_edges, "edge bookkeeping out of sync"
-        for u, (neighbors, weights) in enumerate(zip(self._record_neighbors, self._record_weights)):
-            assert len(neighbors) == len(weights), f"record {u} has mismatched arrays"
-            assert (weights > 0).all(), f"record {u} has non-positive edge weight"
-            assert (neighbors < self.num_macs).all(), f"record {u} references unknown MAC"
+        assert len(degrees) == len(weight_counts), "record adjacency lists out of sync"
+        mismatched = np.flatnonzero(degrees != weight_counts)
+        assert not len(mismatched), f"record {mismatched[0]} has mismatched arrays"
+        if not forward:
+            return
+        ends = np.cumsum(degrees)
+
+        def owner(bad_edges: np.ndarray) -> int:
+            return int(np.searchsorted(ends, bad_edges[0], side="right"))
+
+        bad = np.flatnonzero(~(np.concatenate(self._record_weights) > 0))
+        assert not len(bad), f"record {owner(bad)} has non-positive edge weight"
+        bad = np.flatnonzero(np.concatenate(self._record_neighbors) >= self.num_macs)
+        assert not len(bad), f"record {owner(bad)} references unknown MAC"

@@ -51,6 +51,7 @@ from repro.serve.checkpoint import (
     MANIFEST_NAME,
     CheckpointError,
     CommitInfo,
+    _encode_manifest,
     _replace_into,
     load_checkpoint_with_manifest,
     read_manifest,
@@ -323,9 +324,8 @@ class Follower:
         # second (the commit point), superseded files deleted last.
         _replace_into(directory, write.file_name,
                       lambda handle: handle.write(write.file_bytes))
-        _replace_into(directory, MANIFEST_NAME,
-                      lambda handle: handle.write(
-                          json.dumps(manifest, indent=1, sort_keys=True).encode()))
+        payload = _encode_manifest(manifest)
+        _replace_into(directory, MANIFEST_NAME, lambda handle: handle.write(payload))
         for stale in directory.glob(f"{ARRAYS_PREFIX}*{ARRAYS_SUFFIX}"):
             if stale.name != write.file_name:
                 stale.unlink(missing_ok=True)
@@ -373,9 +373,8 @@ class Follower:
                 "come from different writes (nonce mismatch)")
         _replace_into(directory, write.file_name,
                       lambda handle: handle.write(write.file_bytes))
-        _replace_into(directory, MANIFEST_NAME,
-                      lambda handle: handle.write(
-                          json.dumps(manifest, indent=1, sort_keys=True).encode()))
+        payload = _encode_manifest(manifest)
+        _replace_into(directory, MANIFEST_NAME, lambda handle: handle.write(payload))
         return "applied"
 
     # ------------------------------------------------------------------

@@ -17,10 +17,14 @@ from repro.serve.checkpoint import (
     CHECKPOINT_VERSION,
     MANIFEST_NAME,
     CheckpointError,
+    _encode_manifest,
+    _json_safe,
     flatten_state,
     load_checkpoint,
+    load_checkpoint_with_baseline,
     read_manifest,
     save_checkpoint,
+    save_incremental,
     unflatten_state,
 )
 
@@ -97,6 +101,13 @@ class TestGraphState:
         state["edge_macs"] = state["edge_macs"].copy()
         state["edge_macs"][0] = -1
         with pytest.raises(ValueError, match="MAC"):
+            WeightedBipartiteGraph.from_state_dict(state)
+
+    @pytest.mark.parametrize("weight", [0.0, -3.0, np.nan, np.inf])
+    def test_bad_edge_weight_rejected(self, weight):
+        state = build_graph(synthetic_records(5, seed=0)).state_dict()
+        state["edge_weights"][2] = weight
+        with pytest.raises(ValueError, match="edge weight"):
             WeightedBipartiteGraph.from_state_dict(state)
 
 
@@ -262,6 +273,23 @@ class TestGEMCheckpoint:
         with pytest.raises(ValueError, match="config"):
             other.load_state_dict(gem.state_dict())
 
+    @pytest.mark.parametrize("weight", [0.0, -3.0, np.nan])
+    def test_bad_edge_weight_is_a_checkpoint_error(self, tmp_path, weight):
+        # A crafted graph checkpoint must surface as a typed load error,
+        # not a bare AssertionError that vanishes under ``python -O``.
+        directory = save_checkpoint(fitted_gem(), tmp_path / "ckpt")
+        path = arrays_path(directory)
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        (key,) = [key for key in arrays if key.endswith("graph/edge_weights")]
+        arrays[key][0] = weight
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(CheckpointError, match="structurally invalid"):
+            load_checkpoint(directory)
+        with pytest.raises(CheckpointError, match="structurally invalid"):
+            load_checkpoint_with_baseline(directory)
+
     def test_corrupt_state_leaves_live_model_untouched(self):
         # All-or-nothing restore: a bad detector payload must not leave
         # a live model with a new embedder and the old detector.
@@ -273,3 +301,95 @@ class TestGEMCheckpoint:
         with pytest.raises(ValueError):
             gem.load_state_dict(state)
         assert [gem.score(r) for r in held] == before
+
+
+class TestManifestEncoding:
+    """Compact C-encoded manifests parse to what the indented writer made."""
+
+    METADATA = {
+        "count": np.int64(7), "small": np.int8(-2), "ratio": np.float64(0.25),
+        "half": np.float32(0.5), "flag": np.bool_(False), "pair": (1, np.int32(2)),
+        "nested": {"inner": {"x": np.float64(1e-300), "ys": [np.uint16(3), (True, None)]},
+                   "label": "home"},
+        "plain": [1.5, "a", {"b": np.int64(-1)}],
+    }
+
+    @staticmethod
+    def parent_encoding(manifest: dict) -> bytes:
+        """What the indented writer produced: a ``_json_safe`` walk first."""
+        return json.dumps(_json_safe(manifest), indent=1, sort_keys=True).encode()
+
+    def test_parses_like_the_indented_encoding(self):
+        _, leaves = flatten_state({"a": {"n": np.int64(3), "t": (np.float32(0.5), 2)},
+                                   "b": np.bool_(True)})
+        manifest = {"metadata": self.METADATA, "state": leaves, "saved_at": 1.0}
+        compact = _encode_manifest(manifest)
+        assert json.loads(compact) == json.loads(self.parent_encoding(manifest))
+        assert b"\n" not in compact
+
+    def test_scalar_types_survive_the_round_trip(self):
+        parsed = json.loads(_encode_manifest({"metadata": self.METADATA}))["metadata"]
+        assert type(parsed["count"]) is int and parsed["count"] == 7
+        assert type(parsed["half"]) is float and parsed["half"] == 0.5
+        assert parsed["flag"] is False
+        assert parsed["pair"] == [1, 2]
+        assert parsed["nested"]["inner"]["ys"] == [3, [True, None]]
+
+    def test_saved_manifest_matches_the_indented_encoding(self, tmp_path):
+        gem = fitted_gem()
+        directory = save_checkpoint(gem, tmp_path / "ckpt", metadata=self.METADATA)
+        raw = (directory / MANIFEST_NAME).read_bytes()
+        assert raw.count(b"\n") == 0
+        manifest = json.loads(raw)
+        assert manifest == json.loads(self.parent_encoding(manifest))
+        assert manifest["metadata"] == json.loads(json.dumps(_json_safe(self.METADATA)))
+        _, leaves = flatten_state(gem.state_dict())
+        assert manifest["state"] == leaves
+
+    def test_delta_manifest_carries_numpy_metadata(self, tmp_path):
+        gem = fitted_gem()
+        directory = tmp_path / "ckpt"
+        _, baseline = save_incremental(gem, directory, None)
+        for record in synthetic_records(3, seed=9, center=2.0):
+            gem.observe(record)
+        kind, _ = save_incremental(gem, directory, baseline, metadata=self.METADATA)
+        assert kind == "delta"
+        manifest = read_manifest(directory)
+        assert manifest["metadata"] == json.loads(json.dumps(_json_safe(self.METADATA)))
+
+    def test_unsupported_leaf_types_raise_type_error(self):
+        with pytest.raises(TypeError, match="object"):
+            flatten_state({"x": object()})
+        with pytest.raises(TypeError, match="object"):
+            _encode_manifest({"metadata": {"x": object()}})
+        with pytest.raises(TypeError):
+            _encode_manifest({"metadata": {"x": np.complex128(1j)}})
+
+    def test_unsupported_metadata_fails_before_writing(self, tmp_path):
+        gem = fitted_gem()
+        directory = save_checkpoint(gem, tmp_path / "ckpt")
+        before = sorted(path.name for path in directory.iterdir())
+        with pytest.raises(TypeError):
+            save_checkpoint(gem, directory, metadata={"x": {1, 2}})
+        assert sorted(path.name for path in directory.iterdir()) == before
+        load_checkpoint(directory)
+
+    def test_indented_manifest_loads_and_takes_a_delta(self, tmp_path):
+        # Checkpoints written by older builds carry an indented manifest.
+        gem = fitted_gem()
+        directory = tmp_path / "ckpt"
+        save_incremental(gem, directory, None, metadata={"note": "old"})
+        path = directory / MANIFEST_NAME
+        path.write_bytes(self.parent_encoding(json.loads(path.read_bytes())))
+        assert path.read_bytes().count(b"\n") > 10
+        model, manifest, baseline = load_checkpoint_with_baseline(directory)
+        assert manifest["metadata"] == {"note": "old"}
+        for record in synthetic_records(4, seed=12, center=2.0):
+            gem.observe(record)
+            model.observe(record)
+        kind, _ = save_incremental(model, directory, baseline, metadata={"note": "new"})
+        assert kind == "delta"
+        clone = load_checkpoint(directory)
+        held = synthetic_records(5, seed=13, center=2.0)
+        assert [clone.score(r) for r in held] == [gem.score(r) for r in held]
+        assert read_manifest(directory)["metadata"] == {"note": "new"}
