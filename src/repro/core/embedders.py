@@ -9,6 +9,7 @@ imputation, behind one interface.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from typing import Sequence
 
@@ -170,6 +171,23 @@ class _GraphEmbedderBase:
     def _require_fitted(self) -> None:
         if self.model is None or self.graph is None:
             raise RuntimeError(f"{type(self).__name__} has not been fitted; call fit first")
+
+    def snapshot(self):
+        """A copy to rebuild in a staged refresh, built for low peak memory.
+
+        The graph is copied — it is the only state either side writes
+        in place — while the model's weights and caches are shared:
+        cache rebuilds and extensions rebind them, never write them, so
+        the copy's rebuild cannot reach this embedder, nor this
+        embedder's streaming the copy.
+        """
+        self._require_fitted()
+        clone = copy.copy(self)
+        clone.graph = self.graph.copy()
+        clone.model = copy.copy(self.model)
+        clone.model.graph = clone.graph
+        clone.model._rng = copy.deepcopy(self.model._rng)
+        return clone
 
     # ------------------------------------------------------------------
     # Persistence (shared by every graph-based adapter)

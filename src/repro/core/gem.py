@@ -27,7 +27,7 @@ __all__ = ["EmbeddingGeofencer", "GEM", "RefreshJob"]
 class RefreshJob:
     """A coordinated refresh staged in three phases.
 
-    ``begin_refresh`` (the *copy* phase) deep-copies the embedder and
+    ``begin_refresh`` (the *copy* phase) snapshots the embedder and
     detector while the caller holds whatever lock guards the live
     pipeline; :meth:`build` (the *rebuild* phase) does all the heavy
     work — cache rebuild, re-embedding, detector refit — purely on
@@ -172,10 +172,11 @@ class EmbeddingGeofencer:
                 and hasattr(self.detector, "supports_batch_score")
                 and self.detector.supports_batch_score())
 
-    # Verdicts are computed this many embedded rows ahead; a detector
-    # update invalidates the unconsumed remainder, so the chunk bounds
-    # wasted re-scoring under update-heavy streams while amortising the
-    # per-call scoring overhead everywhere else.
+    # Verdicts are computed up to this many embedded rows ahead; a
+    # detector update invalidates the unconsumed remainder.  After an
+    # update the window restarts at one row and doubles back up to the
+    # chunk, so update-heavy streams waste little re-scoring while
+    # update-free runs still amortise the per-call scoring overhead.
     _SCORE_CHUNK = 64
 
     def observe_many(self, records: Sequence[SignalRecord],
@@ -230,6 +231,7 @@ class EmbeddingGeofencer:
         can_update = self.self_update and hasattr(self.detector, "update")
         scores = outliers = confident = None
         seg_start = seg_end = 0
+        window = self._SCORE_CHUNK
         k = 0
         for i in range(n):
             if rows[i] is None:
@@ -238,7 +240,8 @@ class EmbeddingGeofencer:
                 continue
             if k >= seg_end:
                 seg_start = k
-                seg_end = min(k + self._SCORE_CHUNK, len(embedded))
+                seg_end = min(k + window, len(embedded))
+                window = min(2 * window, self._SCORE_CHUNK)
                 matrix = np.vstack([rows[j] for j in embedded[seg_start:seg_end]])
                 scores, outliers, confident = self.detector.score_batch(matrix)
             p = k - seg_start
@@ -257,6 +260,7 @@ class EmbeddingGeofencer:
                     self.flush_updates()
                     updated = True
                     seg_end = k  # detector moved: unconsumed verdicts are stale
+                    window = 1
             decisions[i] = GeofenceDecision(inside=True, score=score, confident=conf,
                                             buffered=buffered, updated=updated)
         return decisions
@@ -345,10 +349,12 @@ class EmbeddingGeofencer:
                       admit_new_macs_after: int | None = None) -> RefreshJob:
         """Copy phase of a staged refresh: validate and snapshot.
 
-        Deep-copies the embedder and detector (call this while holding
-        whatever lock serialises access to the live pipeline) and
-        returns a :class:`RefreshJob` whose :meth:`~RefreshJob.build`
-        may then run without that lock.
+        Snapshots the embedder (its graph copied, its model arrays
+        shared — see ``snapshot`` on the graph embedders) and takes a
+        shallow copy of the detector, whose state ``refit`` replaces
+        wholesale.  Call this while holding whatever lock serialises
+        access to the live pipeline; the returned :class:`RefreshJob`'s
+        :meth:`~RefreshJob.build` may then run without that lock.
         """
         if not self._fitted:
             raise RuntimeError("pipeline has not been fitted; call fit first")
@@ -365,8 +371,10 @@ class EmbeddingGeofencer:
         if not records:
             raise ValueError("coordinated refresh needs at least one non-empty "
                              "recent-inlier record to refit the detector on")
-        return RefreshJob(self, copy.deepcopy(self.embedder),
-                          copy.deepcopy(self.detector), records,
+        # refit rebinds every fitted attribute of the detector, so the
+        # copy's old state is never read and never shared with a write.
+        return RefreshJob(self, self.embedder.snapshot(),
+                          copy.copy(self.detector), records,
                           admit_new_macs_after)
 
     def commit_refresh(self, job: RefreshJob) -> None:

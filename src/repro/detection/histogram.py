@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.detection.batch import BatchScores
 from repro.detection.threshold import MinMaxNormalizer, contamination_threshold
+from repro.utils.buffers import reserve
 from repro.utils.validation import check_positive, check_positive_int, check_probability
 
 __all__ = ["HistogramConfig", "HistogramDetector"]
@@ -79,50 +80,89 @@ class HistogramConfig:
 
 
 class HistogramDetector:
-    """Enhanced histogram one-class classifier over embeddings."""
+    """Enhanced histogram one-class classifier over embeddings.
+
+    Absorbed rows live in growable buffers beside their flat
+    ``(dim, bin)`` histogram cell, so an online update whose rows stay
+    inside the current per-dimension range costs a ``bincount`` of the
+    new cells plus one gather over the cached cells — never a re-binning
+    of every absorbed row.  A row that widens the range re-bins them all,
+    exactly as a from-scratch :meth:`fit` would.
+    """
 
     def __init__(self, config: HistogramConfig = HistogramConfig()):
         self.config = config
-        self._data: np.ndarray | None = None      # all absorbed normal embeddings
+        self._rows: np.ndarray | None = None      # (capacity, d) absorbed embeddings
+        self._cells: np.ndarray | None = None     # (capacity, d) flat cell of each row
+        self._n = 0                               # rows in use
+        self._lows: np.ndarray | None = None      # (d,) per-dimension data min
+        self._highs: np.ndarray | None = None     # (d,) per-dimension data max
         self._edges: np.ndarray | None = None     # (d, m+1) bin edges
-        self._counts: np.ndarray | None = None    # (d, m) frequency counts
+        self._raw_counts: np.ndarray | None = None  # (d, m) integer bin counts
+        self._counts: np.ndarray | None = None    # (d, m) smoothed frequency counts
         self._log_density: np.ndarray | None = None  # (d, m) decision surface
         self._oor_score: float | None = None
         self._normalizer: MinMaxNormalizer | None = None
-        self._plain_threshold: float | None = None
+        self._plain_threshold: float | None = None  # computed on first use
         self.num_updates = 0
 
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
     def fit(self, embeddings: np.ndarray) -> "HistogramDetector":
-        """Build histograms + score normalisation from normal embeddings."""
+        """Build histograms + score normalisation from normal embeddings.
+
+        Every fitted attribute is rebound, never written in place, so a
+        shallow copy of a fitted detector may be refit without touching
+        the original.
+        """
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         if embeddings.ndim != 2 or len(embeddings) == 0:
             raise ValueError("fit expects a non-empty (n, d) embedding matrix")
         if not np.isfinite(embeddings).all():
             raise ValueError("embeddings contain non-finite values")
-        self._data = embeddings.copy()
+        self._rows = embeddings.copy()
+        self._n = len(embeddings)
         self._rebuild()
         return self
 
     def _rebuild(self) -> None:
-        """Recompute histograms, normalisation and thresholds from stored data."""
-        data = self._data
-        n, d = data.shape
+        """Re-bin every stored row against edges spanning the stored data."""
+        data = self._rows[:self._n]
         m = self.config.num_bins
-        lows = data.min(axis=0)
-        highs = data.max(axis=0)
+        self._lows = data.min(axis=0)
+        self._highs = data.max(axis=0)
         # Degenerate dimensions (constant value) get a symmetric unit span
         # so every training point lands mid-histogram.
-        spans = highs - lows
-        flat = spans <= 0
-        lows = np.where(flat, lows - 0.5, lows)
-        highs = np.where(flat, highs + 0.5, highs)
+        flat = self._highs - self._lows <= 0
+        lows = np.where(flat, self._lows - 0.5, self._lows)
+        highs = np.where(flat, self._highs + 0.5, self._highs)
         self._edges = np.linspace(lows, highs, m + 1, axis=1)  # (d, m+1)
-        counts = np.empty((d, m), dtype=np.float64)
-        for j in range(d):
-            counts[j], _ = np.histogram(data[:, j], bins=self._edges[j])
+        cells = np.empty(self._rows.shape, dtype=np.min_scalar_type(data.shape[1] * m - 1))
+        cells[:self._n] = self._cells_of(data)
+        self._cells = cells
+        self._raw_counts = self._bincount(cells[:self._n])
+        self._refresh_surface()
+
+    def _cells_of(self, embeddings: np.ndarray) -> np.ndarray:
+        """Flat ``(dim, bin)`` cell of every in-range entry, as an (n, d) array.
+
+        ``(edges <= x).sum() - 1`` is ``searchsorted(edges, x, "right") - 1``;
+        the top edge folds into the last bin.  For in-range values that is
+        exactly the bin ``np.histogram`` counts them in.
+        """
+        d, m = len(self._edges), self.config.num_bins
+        positions = np.count_nonzero(self._edges <= embeddings[:, :, None], axis=2) - 1
+        return np.clip(positions, 0, m - 1) + np.arange(0, d * m, m)
+
+    def _bincount(self, cells: np.ndarray) -> np.ndarray:
+        d, m = len(self._edges), self.config.num_bins
+        return np.bincount(cells.ravel(), minlength=d * m).reshape(d, m)
+
+    def _refresh_surface(self) -> None:
+        """Smoothing, the log-density table and the score normaliser: O(d·m)
+        plus one gather over the cached cells."""
+        counts = self._raw_counts.astype(np.float64)
         # Binomial smoothing across adjacent bins: with n ~ hundreds of
         # samples spread over m bins per dimension, raw counts are noisy
         # and a normal sample that lands one bin over from the training
@@ -138,10 +178,12 @@ class HistogramDetector:
         # would have gathered, so gathered scores are bit-identical.
         self._log_density = np.log(1.0 / np.maximum(counts, self.config.pseudo_count))
         self._oor_score = float(np.log(1.0 / np.maximum(0.0, self.config.pseudo_count)))
-        raw = self._raw_scores(data)
-        self._normalizer = MinMaxNormalizer().fit(raw)
-        normalized = self._normalizer.transform(raw)
-        self._plain_threshold = contamination_threshold(normalized, self.config.contamination)
+        self._normalizer = MinMaxNormalizer().fit(self._training_raw_scores())
+        self._plain_threshold = None
+
+    def _training_raw_scores(self) -> np.ndarray:
+        """Eq. 10 for every absorbed row: all in range by construction."""
+        return self._log_density.ravel()[self._cells[:self._n]].sum(axis=1)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -150,20 +192,14 @@ class HistogramDetector:
         """Eq. 10, gathered from the precomputed log-density surface.
 
         The per-cell pseudo-count guard is already baked into
-        ``_log_density``; out-of-range samples take ``_oor_score``
-        (the empty-bin penalty) exactly as a zero count would have.
+        ``_log_density``; out-of-range (and NaN) entries take
+        ``_oor_score`` (the empty-bin penalty) exactly as a zero count
+        would have.
         """
-        d, m = self._counts.shape
-        out = np.empty(embeddings.shape, dtype=np.float64)
-        for j in range(d):
-            edges = self._edges[j]
-            col = embeddings[:, j]
-            positions = np.searchsorted(edges, col, side="right") - 1
-            in_range = (col >= edges[0]) & (col <= edges[-1])
-            values = self._log_density[j][np.clip(positions, 0, m - 1)]
-            values[~in_range] = self._oor_score
-            out[:, j] = values
-        return out.sum(axis=1)
+        values = self._log_density.ravel()[self._cells_of(embeddings)]
+        in_range = (embeddings >= self._edges[:, 0]) & (embeddings <= self._edges[:, -1])
+        values[~in_range] = self._oor_score
+        return values.sum(axis=1)
 
     def normalized_scores(self, embeddings: np.ndarray) -> np.ndarray:
         """Min–max normalised H̄ scores in [0, 1] (higher = more outlying)."""
@@ -187,7 +223,12 @@ class HistogramDetector:
     def threshold(self) -> float:
         """Active OUT threshold (τ_u if enhanced, contamination τ otherwise)."""
         self._require_fitted()
-        return self.config.tau_upper if self.config.enhanced else self._plain_threshold
+        if self.config.enhanced:
+            return self.config.tau_upper
+        if self._plain_threshold is None:
+            normalized = self._normalizer.transform(self._training_raw_scores())
+            self._plain_threshold = contamination_threshold(normalized, self.config.contamination)
+        return self._plain_threshold
 
     def is_outlier(self, embeddings: np.ndarray) -> np.ndarray:
         """Boolean OUT decision per row (Eq. 12)."""
@@ -234,16 +275,30 @@ class HistogramDetector:
         """Absorb confident-inlier embeddings and rebuild the histograms.
 
         Accepts a single vector or a batch (the batch mode of Fig. 14(d,e)).
+        The result equals a from-scratch :meth:`fit` on every absorbed
+        row, bit for bit.
         """
         self._require_fitted()
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        if embeddings.shape[1] != self._data.shape[1]:
-            raise ValueError(f"dimension mismatch: update has {embeddings.shape[1]}, model has {self._data.shape[1]}")
+        d = self._rows.shape[1]
+        if embeddings.shape[1] != d:
+            raise ValueError(f"dimension mismatch: update has {embeddings.shape[1]}, model has {d}")
         if not np.isfinite(embeddings).all():
             raise ValueError("update embeddings contain non-finite values")
-        self._data = np.vstack([self._data, embeddings])
-        self.num_updates += len(embeddings)
-        self._rebuild()
+        n, k = self._n, len(embeddings)
+        self._rows = reserve(self._rows, n, n + k)
+        self._rows[n:n + k] = embeddings
+        self._n = n + k
+        self.num_updates += k
+        if (embeddings < self._lows).any() or (embeddings > self._highs).any():
+            # The range widened: every bin edge moved.
+            self._rebuild()
+            return
+        cells = self._cells_of(embeddings)
+        self._cells = reserve(self._cells, n, n + k)
+        self._cells[n:n + k] = cells
+        self._raw_counts = self._raw_counts + self._bincount(cells)
+        self._refresh_surface()
 
     def refit(self, embeddings: np.ndarray) -> "HistogramDetector":
         """Re-baseline the detector on fresh embeddings (coordinated refresh).
@@ -261,7 +316,7 @@ class HistogramDetector:
     @property
     def num_samples(self) -> int:
         self._require_fitted()
-        return len(self._data)
+        return self._n
 
     # ------------------------------------------------------------------
     # Persistence
@@ -276,7 +331,7 @@ class HistogramDetector:
         self._require_fitted()
         return {
             "config": self.config.to_dict(),
-            "data": self._data.copy(),
+            "data": self._rows[:self._n].copy(),
             "num_updates": self.num_updates,
         }
 
@@ -291,5 +346,5 @@ class HistogramDetector:
         return self
 
     def _require_fitted(self) -> None:
-        if self._data is None:
+        if self._rows is None:
             raise RuntimeError("HistogramDetector has not been fitted; call fit first")

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.embedding.common import (
     admitted_mask,
+    full_aggregation_matrix,
     threshold_admissions,
     global_csr,
     initial_embedding_row,
@@ -116,12 +117,17 @@ class BiSAGE:
         self.weights_h: list[Parameter] = []
         self.weights_l: list[Parameter] = []
         self.loss_history: list[float] = []
-        # Per-layer caches, split per partition so indices stay stable as
-        # the graph grows: lists of (n, d) arrays, index 0 = layer 0.
-        self._cache_hu: list[np.ndarray] = []
-        self._cache_lu: list[np.ndarray] = []
+        # Per-layer MAC caches (inference aggregates from these): lists
+        # of (n_V, d) arrays, index 0 = layer 0.  Record nodes keep only
+        # their layer-0 rows (reused by every cache rebuild) and their
+        # final primary embedding.  No array here is ever written in
+        # place — rebuilds and extensions rebind — so a refresh snapshot
+        # may share them.
         self._cache_hv: list[np.ndarray] = []
         self._cache_lv: list[np.ndarray] = []
+        self._record_h0 = np.empty((0, config.dim))
+        self._record_l0 = np.empty((0, config.dim))
+        self._record_h = np.empty((0, config.dim))
         self._macs_aggregated = 0
         # Optional support-threshold admissions: a boolean mask over MAC
         # indices extending the aggregation universe beyond the trained
@@ -147,6 +153,14 @@ class BiSAGE:
             out[i] = self._initial_row(side, start + i, which)
         return out
 
+    def _extend_initial(self, rows: np.ndarray, side: str, count: int, which: str) -> np.ndarray:
+        """The first ``count`` initial rows of ``side``, reusing ``rows``
+        (a prefix of them) and generating only the missing tail."""
+        have = min(len(rows), count)
+        if have == count:
+            return rows[:count]
+        return np.vstack([rows[:have], self._initial_matrix(side, count - have, which, start=have)])
+
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
@@ -159,10 +173,13 @@ class BiSAGE:
         num_u, num_v = graph.num_records, graph.num_macs
         num_nodes = num_u + num_v
 
-        h0 = np.vstack([self._initial_matrix(RECORD, num_u, "h"),
-                        self._initial_matrix(MAC, num_v, "h")]) if num_v else self._initial_matrix(RECORD, num_u, "h")
-        l0 = np.vstack([self._initial_matrix(RECORD, num_u, "l"),
-                        self._initial_matrix(MAC, num_v, "l")]) if num_v else self._initial_matrix(RECORD, num_u, "l")
+        # The cache build reuses these layer-0 rows.
+        self._record_h0 = self._initial_matrix(RECORD, num_u, "h")
+        self._record_l0 = self._initial_matrix(RECORD, num_u, "l")
+        self._cache_hv = [self._initial_matrix(MAC, num_v, "h")]
+        self._cache_lv = [self._initial_matrix(MAC, num_v, "l")]
+        h0 = np.vstack([self._record_h0, self._cache_hv[0]])
+        l0 = np.vstack([self._record_l0, self._cache_lv[0]])
 
         param_rng = as_rng(cfg.seed + 1)
         self.weights_h = [Parameter(init.xavier_uniform((2 * cfg.dim, cfg.dim), param_rng))
@@ -258,35 +275,44 @@ class BiSAGE:
         """Recompute per-layer embeddings for every current node.
 
         Deterministic: uses full-neighbourhood aggregation (the sampled
-        aggregator's expectation) so repeated calls agree.
+        aggregator's expectation) so repeated calls agree.  Layer-0 rows
+        are reused, not regenerated; only the layer being built and the
+        one before it exist for every node, and of those only each
+        layer's MAC rows and the final record rows are kept.
         """
         graph = self._require_fitted()
         cfg = self.config
         num_u, num_v = graph.num_records, graph.num_macs
-        num_nodes = num_u + num_v
         act = _ACTIVATIONS[cfg.activation][1]
 
-        h = np.vstack([self._initial_matrix(RECORD, num_u, "h"),
-                       self._initial_matrix(MAC, num_v, "h")]) if num_v else self._initial_matrix(RECORD, num_u, "h")
-        l = np.vstack([self._initial_matrix(RECORD, num_u, "l"),
-                       self._initial_matrix(MAC, num_v, "l")]) if num_v else self._initial_matrix(RECORD, num_u, "l")
+        self._record_h0 = self._extend_initial(self._record_h0, RECORD, num_u, "h")
+        self._record_l0 = self._extend_initial(self._record_l0, RECORD, num_u, "l")
+        cache_hv = [self._extend_initial(self._cache_hv[0], MAC, num_v, "h")]
+        cache_lv = [self._extend_initial(self._cache_lv[0], MAC, num_v, "l")]
+        h = np.vstack([self._record_h0, cache_hv[0]])
+        l = np.vstack([self._record_l0, cache_lv[0]])
+        matrix = full_aggregation_matrix(*global_csr(graph), num_u + num_v)
 
-        indptr, indices, edge_weights = global_csr(graph)
-        matrix = sampled_aggregation_matrix(indptr, indices, edge_weights, num_nodes, None, self._rng)
-
-        layers_h, layers_l = [h], [l]
+        # One (N, 2d) buffer holds [own row | aggregate] for every GEMM —
+        # the operand np.hstack would build, without a fresh one per
+        # stream and layer.  Each stream reads the other's previous
+        # layer, so the new primary layer waits in h_next until the
+        # auxiliary stream has aggregated the old one.
+        buf = np.empty((num_u + num_v, 2 * cfg.dim), dtype=np.float64)
         for k in range(cfg.num_layers):
-            h_agg = matrix @ layers_l[-1]
-            l_agg = matrix @ layers_h[-1]
-            h_new = act(np.hstack([layers_h[-1], h_agg]) @ self.weights_h[k].data)
-            l_new = act(np.hstack([layers_l[-1], l_agg]) @ self.weights_l[k].data)
-            layers_h.append(_l2_rows(h_new))
-            layers_l.append(_l2_rows(l_new))
+            buf[:, :cfg.dim] = h
+            buf[:, cfg.dim:] = matrix @ l          # Eq. 3
+            h_next = _l2_rows(act(buf @ self.weights_h[k].data))   # Eq. 4 + 7
+            buf[:, :cfg.dim] = l
+            buf[:, cfg.dim:] = matrix @ h          # Eq. 5
+            h = h_next
+            l = _l2_rows(act(buf @ self.weights_l[k].data))        # Eq. 6 + 7
+            cache_hv.append(h[num_u:].copy())
+            cache_lv.append(l[num_u:].copy())
+        del buf, matrix
 
-        self._cache_hu = [layer[:num_u].copy() for layer in layers_h]
-        self._cache_lu = [layer[:num_u].copy() for layer in layers_l]
-        self._cache_hv = [layer[num_u:].copy() for layer in layers_h]
-        self._cache_lv = [layer[num_u:].copy() for layer in layers_l]
+        self._cache_hv, self._cache_lv = cache_hv, cache_lv
+        self._record_h = h[:num_u].copy()
         # MAC nodes at index >= this have never been through an
         # aggregation pass; inference must not aggregate from them.
         self._macs_aggregated = num_v
@@ -357,7 +383,7 @@ class BiSAGE:
     def record_embeddings(self) -> np.ndarray:
         """Final primary embeddings of all cached record nodes (n_U, d)."""
         self._require_fitted()
-        return self._cache_hu[-1]
+        return self._record_h
 
     def mac_embeddings(self) -> np.ndarray:
         """Final primary embeddings of all cached MAC nodes (n_V, d)."""
@@ -376,7 +402,7 @@ class BiSAGE:
         """
         graph = self._require_fitted()
         neighbors, weights = graph.neighbors(RECORD, index)
-        return self._embed_from_neighbors(RECORD, _INFERENCE_KEY, neighbors, weights)
+        return self._embed_from_neighbors(neighbors, weights)
 
     def embed_readings(self, readings: dict[str, float]) -> np.ndarray | None:
         """Embed a record *without* mutating the graph.
@@ -392,19 +418,19 @@ class BiSAGE:
             return None
         neighbors = np.asarray([idx for idx, _ in known], dtype=np.int64)
         weights = np.asarray([graph.edge_weight_of_rss(rss) for _, rss in known])
-        return self._embed_from_neighbors(RECORD, _INFERENCE_KEY, neighbors, weights)
+        return self._embed_from_neighbors(neighbors, weights)
 
-    def _embed_from_neighbors(self, side: str, index: int,
-                              neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def _embed_from_neighbors(self, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """K aggregation rounds for one inference-time record node."""
         cfg = self.config
         act = _ACTIVATIONS[cfg.activation][1]
         self._extend_mac_cache()
-        neighbor_h = self._cache_hv if side == RECORD else self._cache_hu
-        neighbor_l = self._cache_lv if side == RECORD else self._cache_lu
+        neighbor_h = self._cache_hv
+        neighbor_l = self._cache_lv
 
-        h = self._initial_row(side, index, "h")
-        l = self._initial_row(side, index, "l")
-        if side == RECORD and len(neighbors):
+        h = self._initial_row(RECORD, _INFERENCE_KEY, "h")
+        l = self._initial_row(RECORD, _INFERENCE_KEY, "l")
+        if len(neighbors):
             # MACs added to the graph after the last cache build carry only
             # their random initial embedding — aggregating from them would
             # inject pure noise (one strong unknown MAC could dominate the
@@ -479,12 +505,14 @@ class BiSAGE:
     def state_dict(self) -> dict:
         """Checkpointable state: config, weights and inference caches.
 
-        The per-layer caches are saved verbatim (rather than rebuilt on
-        load) so a restored model reproduces inductive embeddings —
+        The per-layer MAC caches are saved verbatim (rather than rebuilt
+        on load) so a restored model reproduces inductive embeddings —
         and therefore geofence decisions — bit-for-bit, even when MACs
         were appended to the graph after the last :meth:`refresh_cache`.
-        The bound graph is *not* included; the owner saves it separately
-        and passes it back to :meth:`load_state_dict`.
+        Record nodes contribute their layer-0 rows (``record_h0`` /
+        ``record_l0``) and final primary rows (``record_h``).  The bound
+        graph is *not* included; the owner saves it separately and
+        passes it back to :meth:`load_state_dict`.
         """
         self._require_fitted()
         state: dict = {
@@ -499,9 +527,11 @@ class BiSAGE:
             # keep their exact key set).
             state["macs_admitted"] = np.flatnonzero(
                 self._mac_admitted[self._macs_aggregated:]) + self._macs_aggregated
-        for name in ("hu", "lu", "hv", "lv"):
+        for name in ("hv", "lv"):
             layers = getattr(self, f"_cache_{name}")
             state[f"cache_{name}"] = {str(k): layer.copy() for k, layer in enumerate(layers)}
+        for name in ("record_h0", "record_l0", "record_h"):
+            state[name] = getattr(self, f"_{name}").copy()
         return state
 
     def load_state_dict(self, state: dict, graph: WeightedBipartiteGraph) -> "BiSAGE":
@@ -509,6 +539,9 @@ class BiSAGE:
 
         ``graph`` must be the graph the state was saved against (or a
         reconstruction of it); cache shapes are validated against it.
+        States saved in the older layout, which kept every layer of the
+        record caches (``cache_hu`` / ``cache_lu``), load too: their
+        layer-0 and final rows are exactly the record rows kept now.
         """
         cfg = self.config
         saved_cfg = BiSAGEConfig.from_dict(state["config"])
@@ -518,16 +551,20 @@ class BiSAGE:
         self.weights_h = [Parameter(np.zeros((2 * cfg.dim, cfg.dim))) for _ in range(cfg.num_layers)]
         self.weights_l = [Parameter(np.zeros((2 * cfg.dim, cfg.dim))) for _ in range(cfg.num_layers)]
         load_parameters(self.parameters(), state["parameters"])
-        for name in ("hu", "lu", "hv", "lv"):
-            saved = state[f"cache_{name}"]
-            layers = [np.asarray(saved[str(k)], dtype=np.float64) for k in range(len(saved))]
-            if len(layers) != cfg.num_layers + 1:
-                raise ValueError(f"cache_{name} has {len(layers)} layers, expected {cfg.num_layers + 1}")
-            for layer in layers:
-                if layer.shape[1] != cfg.dim:
-                    raise ValueError(f"cache_{name} dimension {layer.shape[1]} != config dim {cfg.dim}")
-            setattr(self, f"_cache_{name}", layers)
-        num_u = self._cache_hu[0].shape[0]
+        self._cache_hv = self._saved_layers(state, "cache_hv")
+        self._cache_lv = self._saved_layers(state, "cache_lv")
+        if "record_h0" in state:
+            records = [np.asarray(state[name], dtype=np.float64)
+                       for name in ("record_h0", "record_l0", "record_h")]
+        else:
+            hu = self._saved_layers(state, "cache_hu")
+            records = [hu[0], self._saved_layers(state, "cache_lu")[0], hu[-1]]
+        if any(rows.ndim != 2 or rows.shape != records[0].shape or rows.shape[1] != cfg.dim
+               for rows in records):
+            raise ValueError(f"record caches have shapes {[rows.shape for rows in records]}, "
+                             f"expected matching (n, {cfg.dim})")
+        self._record_h0, self._record_l0, self._record_h = records
+        num_u = len(self._record_h0)
         if num_u > graph.num_records:
             raise ValueError(f"cached {num_u} record nodes but graph has only {graph.num_records}")
         self._macs_aggregated = int(state["macs_aggregated"])
@@ -538,6 +575,16 @@ class BiSAGE:
         self.loss_history = [float(x) for x in state.get("loss_history", [])]
         self.graph = graph
         return self
+
+    def _saved_layers(self, state: dict, key: str) -> list[np.ndarray]:
+        saved = state[key]
+        layers = [np.asarray(saved[str(k)], dtype=np.float64) for k in range(len(saved))]
+        if len(layers) != self.config.num_layers + 1:
+            raise ValueError(f"{key} has {len(layers)} layers, expected {self.config.num_layers + 1}")
+        for layer in layers:
+            if layer.shape[1] != self.config.dim:
+                raise ValueError(f"{key} dimension {layer.shape[1]} != config dim {self.config.dim}")
+        return layers
 
 
 def _l2_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:

@@ -80,33 +80,29 @@ def global_csr(graph: WeightedBipartiteGraph) -> tuple[np.ndarray, np.ndarray, n
 
     Returns ``(indptr, indices, weights)`` over ``N = num_records +
     num_macs`` rows; record rows come first.  Neighbour indices are
-    global ids in the opposite partition.
+    global ids in the opposite partition, as int32 while they fit.  A
+    record row lists its MACs in attach order; a MAC row lists its
+    records in increasing order.
     """
     num_records = graph.num_records
-    num_macs = graph.num_macs
-    rows_u, cols_v, weights_uv = graph.record_adjacency()
-
-    indptr = np.zeros(num_records + num_macs + 1, dtype=np.int64)
-    # Degrees per row.
-    if len(rows_u):
-        np.add.at(indptr, rows_u + 1, 1)
-        np.add.at(indptr, num_records + cols_v + 1, 1)
-    np.cumsum(indptr, out=indptr)
-
-    indices = np.empty(2 * len(rows_u), dtype=np.int64)
-    weights = np.empty(2 * len(rows_u), dtype=np.float64)
-    cursor = indptr[:-1].copy()
-    # Record rows point at MAC nodes (offset), MAC rows point back.
-    for u, v, w in zip(rows_u, cols_v, weights_uv):
-        pos = cursor[u]
-        indices[pos] = num_records + v
-        weights[pos] = w
-        cursor[u] += 1
-        pos = cursor[num_records + v]
-        indices[pos] = u
-        weights[pos] = w
-        cursor[num_records + v] += 1
+    record_indptr, macs, record_weights = graph.csr()
+    mac_indptr, owners, mac_weights = graph.mac_csr()
+    index_dtype = _index_dtype(num_records + graph.num_macs)
+    indptr = np.concatenate([record_indptr, graph.num_edges + mac_indptr[1:]])
+    indices = np.empty(2 * graph.num_edges, dtype=index_dtype)
+    np.add(macs, num_records, out=indices[:graph.num_edges], dtype=index_dtype)
+    indices[graph.num_edges:] = owners
+    weights = np.concatenate([record_weights, mac_weights])
     return indptr, indices, weights
+
+
+def _index_dtype(limit: int):
+    return np.int32 if limit < 2**31 else np.int64
+
+
+# Entries per block of rows in full_aggregation_matrix: bounds its
+# temporaries, whatever the graph's size.
+_AGGREGATION_BLOCK = 1 << 14
 
 
 def full_aggregation_matrix(indptr, indices, weights, num_nodes: int) -> sp.csr_matrix:
@@ -114,10 +110,44 @@ def full_aggregation_matrix(indptr, indices, weights, num_nodes: int) -> sp.csr_
 
     Equivalent to weighted neighbour sampling with an infinite sample
     size; used when ``sample_size=None`` for deterministic, faster runs.
+    The CSR arrays must name each (row, column) pair at most once.
+
+    Built directly, block of rows by block of rows, with the stored
+    order and the data :func:`repro.nn.sparse.row_normalized_csr` gives
+    the same edges: row sums are taken over each row in ascending column
+    order, entries are ``(1 / row_sum) * weight``, and each row is
+    stored in descending column order.  The order matters —
+    ``matrix @ x`` sums a row in stored order, so any other order
+    changes the floats.
     """
-    degrees = np.diff(indptr)
-    rows = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
-    return row_normalized_csr(rows, indices, weights, shape=(num_nodes, num_nodes))
+    indptr = np.asarray(indptr, dtype=np.int64)
+    nnz = int(indptr[-1])
+    index_dtype = _index_dtype(max(num_nodes, nnz))
+    out_indices = np.empty(nnz, dtype=index_dtype)
+    data = np.empty(nnz, dtype=np.float64)
+    start = 0
+    while start < num_nodes:
+        stop = int(np.searchsorted(indptr, indptr[start] + _AGGREGATION_BLOCK, side="right")) - 1
+        stop = min(max(stop, start + 1), num_nodes)
+        lo, hi = indptr[start], indptr[stop]
+        local = indptr[start:stop + 1] - lo
+        rows = np.repeat(np.arange(stop - start), np.diff(local))
+        cols = np.asarray(indices[lo:hi], dtype=np.int64)
+        block = np.asarray(weights[lo:hi], dtype=np.float64)
+        ascending = np.lexsort((cols, rows))
+        sums = np.zeros(stop - start, dtype=np.float64)
+        nonempty = np.flatnonzero(np.diff(local))
+        if len(nonempty):
+            sums[nonempty] = np.add.reduceat(block[ascending], local[nonempty])
+        scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+        # Position p of a row holds the row's (size - 1 - p)-th smallest column.
+        last = local[:-1] + local[1:] - 1
+        layout = ascending[last[rows] - np.arange(hi - lo)]
+        out_indices[lo:hi] = cols[layout]
+        np.multiply(scale[rows], block[layout], out=data[lo:hi])
+        start = stop
+    return sp.csr_matrix((data, out_indices, indptr.astype(index_dtype)),
+                         shape=(num_nodes, num_nodes))
 
 
 def sample_neighbors_batch(indptr, indices, weights, sample_size: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.core.records import SignalRecord
+from repro.utils.buffers import reserve
 
 __all__ = ["RECORD", "MAC", "NodeRef", "WeightedBipartiteGraph"]
 
@@ -28,7 +29,15 @@ NodeRef = tuple  # (side, index)
 
 
 class WeightedBipartiteGraph:
-    """Adjacency-list weighted bipartite graph.
+    """Append-only weighted bipartite graph in record-major CSR form.
+
+    Record ``u``'s edges occupy ``macs[indptr[u]:indptr[u+1]]`` (MAC
+    indices) and the same slice of ``weights``, in the order the record's
+    readings listed them.  All three arrays are growable buffers, so
+    attaching a record writes its edges in place instead of allocating
+    per-record arrays.  The MAC-side adjacency is derived: one stable
+    sort of the edge MACs, built on first use and dropped when the graph
+    grows.
 
     Parameters
     ----------
@@ -43,13 +52,12 @@ class WeightedBipartiteGraph:
         self.weight_offset = float(weight_offset)
         self._mac_index: dict[str, int] = {}
         self._mac_names: list[str] = []
-        # adjacency: per record node, parallel arrays of mac indices / weights
-        self._record_neighbors: list[np.ndarray] = []
-        self._record_weights: list[np.ndarray] = []
-        # reverse adjacency built incrementally as python lists
-        self._mac_neighbors: list[list[int]] = []
-        self._mac_weights: list[list[float]] = []
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._macs = np.empty(0, dtype=np.int32)
+        self._weights = np.empty(0, dtype=np.float64)
+        self._num_records = 0
         self._num_edges = 0
+        self._mac_side: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -72,22 +80,26 @@ class WeightedBipartiteGraph:
         Empty records are allowed as isolated nodes; GEM treats them as
         outliers upstream.
         """
-        record_idx = len(self._record_neighbors)
         mac_indices = []
         weights = []
         for mac, rss in record.readings.items():
             mac_idx = self._mac_index.get(mac)
             if mac_idx is None:
                 mac_idx = self._intern_mac(mac)
-            weight = self.edge_weight_of_rss(rss)
             mac_indices.append(mac_idx)
-            weights.append(weight)
-            self._mac_neighbors[mac_idx].append(record_idx)
-            self._mac_weights[mac_idx].append(weight)
-        self._record_neighbors.append(np.asarray(mac_indices, dtype=np.int64))
-        self._record_weights.append(np.asarray(weights, dtype=np.float64))
-        self._num_edges += len(mac_indices)
-        return record_idx
+            weights.append(self.edge_weight_of_rss(rss))
+        u, lo = self._num_records, self._num_edges
+        hi = lo + len(mac_indices)
+        self._indptr = reserve(self._indptr, u + 1, u + 2)
+        self._macs = reserve(self._macs, lo, hi)
+        self._weights = reserve(self._weights, lo, hi)
+        self._macs[lo:hi] = mac_indices
+        self._weights[lo:hi] = weights
+        self._indptr[u + 1] = hi
+        self._num_records = u + 1
+        self._num_edges = hi
+        self._mac_side = None
+        return u
 
     def add_records(self, records: Iterable[SignalRecord]) -> list[int]:
         return [self.add_record(record) for record in records]
@@ -96,16 +108,27 @@ class WeightedBipartiteGraph:
         idx = len(self._mac_names)
         self._mac_index[mac] = idx
         self._mac_names.append(mac)
-        self._mac_neighbors.append([])
-        self._mac_weights.append([])
+        self._mac_side = None
         return idx
+
+    def copy(self) -> "WeightedBipartiteGraph":
+        """An independent copy: appending to either never shows in the other."""
+        clone = WeightedBipartiteGraph(self.weight_offset)
+        clone._mac_index = dict(self._mac_index)
+        clone._mac_names = list(self._mac_names)
+        clone._indptr = self._indptr[:self._num_records + 1].copy()
+        clone._macs = self._macs[:self._num_edges].copy()
+        clone._weights = self._weights[:self._num_edges].copy()
+        clone._num_records = self._num_records
+        clone._num_edges = self._num_edges
+        return clone
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def num_records(self) -> int:
-        return len(self._record_neighbors)
+        return self._num_records
 
     @property
     def num_macs(self) -> int:
@@ -125,13 +148,51 @@ class WeightedBipartiteGraph:
     def known_macs(self) -> set[str]:
         return set(self._mac_index)
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Record-major ``(indptr, macs, weights)`` views of every edge.
+
+        Views into the live buffers: treat them as read-only, and as a
+        snapshot — records attached later do not appear in them.
+        """
+        return (self._indptr[:self._num_records + 1], self._macs[:self._num_edges],
+                self._weights[:self._num_edges])
+
+    def mac_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """MAC-major ``(indptr, records, weights)`` over every edge.
+
+        Each MAC's edges are in record order — the order
+        :meth:`add_record` attached them — from one stable sort of the
+        edge MACs.  Built fresh on every call.
+        """
+        record_indptr, macs, weights = self.csr()
+        # The narrowest dtype that holds every MAC index sorts the same
+        # keys in the same stable order, and lets numpy radix-sort them.
+        order = np.argsort(macs.astype(np.min_scalar_type(self.num_macs)), kind="stable")
+        indptr = np.zeros(self.num_macs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(macs, minlength=self.num_macs), out=indptr[1:])
+        owners = np.repeat(np.arange(self._num_records, dtype=np.int64), np.diff(record_indptr))
+        return indptr, owners[order], weights[order]
+
     def neighbors(self, side: str, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbor indices in the other partition, edge weights)."""
+        """(neighbor indices in the other partition, edge weights).
+
+        Both sides return views into the graph's arrays; callers must
+        not write to them.  MAC-side queries share one :meth:`mac_csr`,
+        kept until the graph next grows.
+        """
         if side == RECORD:
-            return self._record_neighbors[index], self._record_weights[index]
+            if not 0 <= index < self._num_records:
+                raise IndexError(f"record index {index} out of range")
+            lo, hi = self._indptr[index], self._indptr[index + 1]
+            return self._macs[lo:hi], self._weights[lo:hi]
         if side == MAC:
-            return (np.asarray(self._mac_neighbors[index], dtype=np.int64),
-                    np.asarray(self._mac_weights[index], dtype=np.float64))
+            if not 0 <= index < self.num_macs:
+                raise IndexError(f"MAC index {index} out of range")
+            if self._mac_side is None:
+                self._mac_side = self.mac_csr()
+            indptr, records, weights = self._mac_side
+            lo, hi = indptr[index], indptr[index + 1]
+            return records[lo:hi], weights[lo:hi]
         raise ValueError(f"side must be {RECORD!r} or {MAC!r}, got {side!r}")
 
     def degree(self, side: str, index: int) -> int:
@@ -151,28 +212,20 @@ class WeightedBipartiteGraph:
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """(record degrees, MAC degrees) as arrays."""
-        record_deg = np.asarray([len(n) for n in self._record_neighbors], dtype=np.int64)
-        mac_deg = np.asarray([len(n) for n in self._mac_neighbors], dtype=np.int64)
-        return record_deg, mac_deg
+        indptr, macs, _ = self.csr()
+        return np.diff(indptr), np.bincount(macs, minlength=self.num_macs).astype(np.int64)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """All (record index, mac index, weight) triples."""
-        for u, (neighbors, weights) in enumerate(zip(self._record_neighbors, self._record_weights)):
-            for v, w in zip(neighbors, weights):
-                yield u, int(v), float(w)
+        rows, cols, weights = self.record_adjacency()
+        return zip(rows.tolist(), cols.tolist(), weights.tolist())
 
     def record_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat COO arrays (record_rows, mac_cols, weights) over all edges."""
-        if self._num_edges == 0:
-            empty = np.empty(0)
-            return empty.astype(np.int64), empty.astype(np.int64), empty
-        rows = np.concatenate([
-            np.full(len(neigh), u, dtype=np.int64)
-            for u, neigh in enumerate(self._record_neighbors) if len(neigh)
-        ]) if any(len(n) for n in self._record_neighbors) else np.empty(0, dtype=np.int64)
-        cols = np.concatenate([n for n in self._record_neighbors if len(n)])
-        weights = np.concatenate([w for w in self._record_weights if len(w)])
-        return rows, cols, weights
+        record_deg, _ = self.degrees()
+        _, macs, weights = self.csr()
+        rows = np.repeat(np.arange(self._num_records, dtype=np.int64), record_deg)
+        return rows, macs.astype(np.int64), weights.copy()
 
     # ------------------------------------------------------------------
     # Persistence
@@ -183,35 +236,29 @@ class WeightedBipartiteGraph:
         Edges are stored record-major as ``(record_indptr, edge_macs,
         edge_weights)`` — record ``u``'s edges occupy the slice
         ``record_indptr[u]:record_indptr[u+1]``.  The reverse (MAC-side)
-        adjacency is derived, so it is rebuilt on load rather than saved.
+        adjacency is derived, so it is rebuilt on demand rather than saved.
         """
-        record_deg, _ = self.degrees()
-        indptr = np.zeros(self.num_records + 1, dtype=np.int64)
-        np.cumsum(record_deg, out=indptr[1:])
-        _, edge_macs, edge_weights = self.record_adjacency()
+        indptr, macs, weights = self.csr()
         return {
             "weight_offset": self.weight_offset,
             "mac_names": list(self._mac_names),
-            "record_indptr": indptr,
-            "edge_macs": edge_macs,
-            "edge_weights": edge_weights,
+            "record_indptr": indptr.copy(),
+            "edge_macs": macs.astype(np.int64),
+            "edge_weights": weights.copy(),
         }
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "WeightedBipartiteGraph":
         """Rebuild a graph saved by :meth:`state_dict`.
 
-        The record arrays are slices of one private copy of the flat
-        edge arrays, so later changes to ``state`` never reach the
-        graph.  The MAC-side lists come from one stable sort of
-        ``edge_macs``: each MAC's edges stay in record order, exactly as
-        :meth:`add_record` would have appended them.
+        The graph takes private copies of the flat edge arrays, so later
+        changes to ``state`` never reach it.
         """
         graph = cls(weight_offset=float(state["weight_offset"]))
         for mac in state["mac_names"]:
             graph._intern_mac(str(mac))
-        indptr = np.asarray(state["record_indptr"], dtype=np.int64)
-        edge_macs = np.array(state["edge_macs"], dtype=np.int64)
+        indptr = np.array(state["record_indptr"], dtype=np.int64)
+        edge_macs = np.asarray(state["edge_macs"], dtype=np.int64)
         edge_weights = np.array(state["edge_weights"], dtype=np.float64)
         if (indptr.ndim != 1 or edge_macs.ndim != 1 or edge_weights.ndim != 1
                 or len(edge_macs) != len(edge_weights)
@@ -222,46 +269,33 @@ class WeightedBipartiteGraph:
             raise ValueError("graph state references a MAC index outside the name table")
         if not (np.isfinite(edge_weights) & (edge_weights > 0)).all():
             raise ValueError("graph state has a non-positive or non-finite edge weight")
-        bounds = indptr.tolist()
-        num_records = len(bounds) - 1
-        graph._record_neighbors = [edge_macs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        graph._record_weights = [edge_weights[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        # The narrowest dtype that holds every MAC index sorts the same
-        # keys in the same stable order, and lets numpy radix-sort them.
-        order = np.argsort(edge_macs.astype(np.min_scalar_type(graph.num_macs)), kind="stable")
-        owners = np.repeat(np.arange(num_records, dtype=np.int64), np.diff(indptr))[order]
-        weights = edge_weights[order]
-        # One int object per record, shared by all its MAC-side entries
-        # as add_record shares it, rather than one object per edge; the
-        # lists are built per MAC so no edge-sized temporary list exists.
-        record_ids = list(range(num_records))
-        mac_bounds = [0] + np.cumsum(np.bincount(edge_macs, minlength=graph.num_macs)).tolist()
-        spans = list(zip(mac_bounds, mac_bounds[1:]))
-        graph._mac_neighbors = [list(map(record_ids.__getitem__, owners[lo:hi].tolist()))
-                                for lo, hi in spans]
-        graph._mac_weights = [weights[lo:hi].tolist() for lo, hi in spans]
+        graph._indptr = indptr
+        graph._macs = edge_macs.astype(np.int32)
+        graph._weights = edge_weights
+        graph._num_records = len(indptr) - 1
         graph._num_edges = len(edge_macs)
         graph.validate()
         return graph
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
-        degrees = np.fromiter(map(len, self._record_neighbors), dtype=np.int64)
-        weight_counts = np.fromiter(map(len, self._record_weights), dtype=np.int64)
-        forward = int(degrees.sum())
-        backward = sum(map(len, self._mac_neighbors))
-        assert forward == backward == self._num_edges, "edge bookkeeping out of sync"
-        assert len(degrees) == len(weight_counts), "record adjacency lists out of sync"
-        mismatched = np.flatnonzero(degrees != weight_counts)
-        assert not len(mismatched), f"record {mismatched[0]} has mismatched arrays"
-        if not forward:
+        n, num_edges = self._num_records, self._num_edges
+        assert len(self._indptr) > n and self._indptr[0] == 0, "record index out of sync"
+        indptr = self._indptr[:n + 1]
+        assert indptr[n] == num_edges, "edge bookkeeping out of sync"
+        assert len(self._macs) >= num_edges and len(self._weights) >= num_edges, \
+            "edge bookkeeping out of sync"
+        shrinking = np.flatnonzero(np.diff(indptr) < 0)
+        assert not len(shrinking), f"record {shrinking[0]} has mismatched edge bounds"
+        if not num_edges:
             return
-        ends = np.cumsum(degrees)
+        ends = indptr[1:]
 
         def owner(bad_edges: np.ndarray) -> int:
             return int(np.searchsorted(ends, bad_edges[0], side="right"))
 
-        bad = np.flatnonzero(~(np.concatenate(self._record_weights) > 0))
+        _, macs, weights = self.csr()
+        bad = np.flatnonzero(~(weights > 0))
         assert not len(bad), f"record {owner(bad)} has non-positive edge weight"
-        bad = np.flatnonzero(np.concatenate(self._record_neighbors) >= self.num_macs)
+        bad = np.flatnonzero((macs < 0) | (macs >= self.num_macs))
         assert not len(bad), f"record {owner(bad)} references unknown MAC"

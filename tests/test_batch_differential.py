@@ -238,3 +238,34 @@ def test_update_flush_mid_batch_matches_scalar():
     assert any(d.updated for d in scalar), "stream never flushed an update"
     assert_decisions_identical(scalar, batch)
     assert_trees_identical(scalar_model.state_dict(), batch_model.state_dict())
+
+
+def test_rescoring_window_restarts_after_each_flush():
+    """After a mid-batch update the verdict window restarts at one row
+    and doubles back up to the chunk, so an update-heavy batch scores
+    few rows per decision — and still decides exactly as the scalar
+    loop does."""
+    cfg = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1), batch_update_size=1)
+    model = build_pipeline(arm_spec("GEM", dim=8, gem_config=cfg))
+    model.fit(synthetic_records(60, seed=3))
+    stream = synthetic_records(96, seed=11, center=0.0)
+    scalar_model = copy.deepcopy(model)
+    batch_model = copy.deepcopy(model)
+    scalar = [scalar_model.observe(r) for r in stream]
+    windows = []
+    score_batch = batch_model.detector.score_batch
+
+    def spy(rows):
+        windows.append(len(rows))
+        return score_batch(rows)
+
+    batch_model.detector.score_batch = spy
+    batch = batch_model.observe_many(stream)
+    del batch_model.detector.score_batch
+    updates = sum(d.updated for d in scalar)
+    assert updates > len(stream) // 2, "stream is not update-heavy"
+    assert windows[0] == batch_model._SCORE_CHUNK
+    assert windows[1] == 1
+    assert sum(windows) < 3 * len(stream)
+    assert_decisions_identical(scalar, batch)
+    assert_trees_identical(scalar_model.state_dict(), batch_model.state_dict())

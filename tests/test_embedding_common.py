@@ -15,6 +15,7 @@ from repro.embedding.common import (
     sampled_aggregation_matrix,
 )
 from repro.graph import WeightedBipartiteGraph, build_graph
+from repro.nn.sparse import row_normalized_csr
 
 from conftest import synthetic_records
 
@@ -91,6 +92,74 @@ class TestAggregationMatrices:
                                        np.random.default_rng(0))
         b = full_aggregation_matrix(indptr, indices, weights, n)
         assert (a != b).nnz == 0
+
+
+def reference_global_csr(graph):
+    """The per-edge global CSR loop the vectorised one replaced (oracle)."""
+    num_records = graph.num_records
+    rows_u, cols_v, weights_uv = graph.record_adjacency()
+    indptr = np.zeros(num_records + graph.num_macs + 1, dtype=np.int64)
+    if len(rows_u):
+        np.add.at(indptr, rows_u + 1, 1)
+        np.add.at(indptr, num_records + cols_v + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(2 * len(rows_u), dtype=np.int64)
+    weights = np.empty(2 * len(rows_u), dtype=np.float64)
+    cursor = indptr[:-1].copy()
+    for u, v, w in zip(rows_u, cols_v, weights_uv):
+        pos = cursor[u]
+        indices[pos] = num_records + v
+        weights[pos] = w
+        cursor[u] += 1
+        pos = cursor[num_records + v]
+        indices[pos] = u
+        weights[pos] = w
+        cursor[num_records + v] += 1
+    return indptr, indices, weights
+
+
+def reference_full_matrix(indptr, indices, weights, num_nodes):
+    """The COO → row-normalised CSR build the direct one replaced (oracle)."""
+    rows = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
+    return row_normalized_csr(rows, indices, weights, shape=(num_nodes, num_nodes))
+
+
+def oracle_graphs():
+    yield WeightedBipartiteGraph()
+    yield small_graph()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        graph = build_graph(synthetic_records(int(rng.integers(1, 40)),
+                                              num_macs=int(rng.integers(1, 15)), seed=seed))
+        graph.add_record(SignalRecord({}))                     # isolated record
+        graph.add_record(SignalRecord({"late-mac": -80.0}))    # MAC seen once
+        graph._intern_mac("never-heard")                       # edgeless MAC
+        yield graph
+
+
+class TestAgainstReferenceLoops:
+    def test_global_csr_equals_per_edge_loop(self):
+        for graph in oracle_graphs():
+            (indptr, indices, weights) = global_csr(graph)
+            want_indptr, want_indices, want_weights = reference_global_csr(graph)
+            assert indptr.dtype == np.int64 and weights.dtype == np.float64
+            assert indices.dtype == np.int32  # global ids fit, so they stay compact
+            np.testing.assert_array_equal(indptr, want_indptr)
+            np.testing.assert_array_equal(indices, want_indices)
+            assert weights.tobytes() == want_weights.tobytes()
+
+    def test_full_matrix_bit_identical_to_row_normalized_csr(self):
+        for seed, graph in enumerate(oracle_graphs()):
+            indptr, indices, weights = global_csr(graph)
+            n = graph.num_records + graph.num_macs
+            got = full_aggregation_matrix(indptr, indices, weights, n)
+            want = reference_full_matrix(indptr, indices, weights, n)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
+            x = np.random.default_rng(seed).standard_normal((n, 6))
+            assert (got @ x).tobytes() == (want @ x).tobytes()
 
 
 class TestBatchSampling:

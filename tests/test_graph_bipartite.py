@@ -130,27 +130,24 @@ def test_property_graph_invariants(reading_dicts):
 
 
 # ----------------------------------------------------------------------
-# Reload: the vectorised from_state_dict against the per-edge loop
+# Reload: the flat-array from_state_dict against a per-edge walk
 # ----------------------------------------------------------------------
-def reference_from_state_dict(state: dict) -> WeightedBipartiteGraph:
-    """The per-edge reload loop the vectorised one replaced (test oracle)."""
-    graph = WeightedBipartiteGraph(weight_offset=float(state["weight_offset"]))
-    for mac in state["mac_names"]:
-        graph._intern_mac(str(mac))
+def reference_adjacency(state: dict) -> tuple[list, list]:
+    """Per-record and per-MAC ``(neighbours, weights)`` lists, walked one
+    edge at a time from a saved state (test oracle).  MAC-side lists are
+    in attach order, as ``add_record`` appends them."""
     indptr = np.asarray(state["record_indptr"], dtype=np.int64)
     edge_macs = np.asarray(state["edge_macs"], dtype=np.int64)
     edge_weights = np.asarray(state["edge_weights"], dtype=np.float64)
+    records = []
+    macs = [([], []) for _ in state["mac_names"]]
     for u in range(len(indptr) - 1):
         lo, hi = indptr[u], indptr[u + 1]
-        macs = edge_macs[lo:hi].copy()
-        weights = edge_weights[lo:hi].copy()
-        graph._record_neighbors.append(macs)
-        graph._record_weights.append(weights)
-        for mac_idx, weight in zip(macs, weights):
-            graph._mac_neighbors[mac_idx].append(u)
-            graph._mac_weights[mac_idx].append(float(weight))
-        graph._num_edges += len(macs)
-    return graph
+        records.append((edge_macs[lo:hi].tolist(), edge_weights[lo:hi].tolist()))
+        for mac_idx, weight in zip(edge_macs[lo:hi], edge_weights[lo:hi]):
+            macs[mac_idx][0].append(u)
+            macs[mac_idx][1].append(float(weight))
+    return records, macs
 
 
 def random_graph_state(seed: int) -> dict:
@@ -176,24 +173,36 @@ def random_graph_state(seed: int) -> dict:
     return graph.state_dict()
 
 
+def assert_graph_matches(graph: WeightedBipartiteGraph, state: dict) -> None:
+    """``graph`` holds exactly the adjacency ``state`` describes, on both
+    sides, read through the public API."""
+    records, macs = reference_adjacency(state)
+    assert graph.num_records == len(records)
+    assert graph.num_macs == len(macs)
+    assert [graph.mac_name(j) for j in range(graph.num_macs)] == list(state["mac_names"])
+    assert graph.num_edges == sum(len(neighbors) for neighbors, _ in records)
+    for u, (want_macs, want_weights) in enumerate(records):
+        got_macs, got_weights = graph.neighbors(RECORD, u)
+        assert got_macs.dtype == np.int32 and got_weights.dtype == np.float64
+        assert got_macs.tolist() == want_macs
+        assert got_weights.tolist() == want_weights
+    for j, (want_records, want_weights) in enumerate(macs):
+        got_records, got_weights = graph.neighbors(MAC, j)
+        assert got_records.dtype == np.int64 and got_weights.dtype == np.float64
+        assert got_records.tolist() == want_records
+        assert got_weights.tolist() == want_weights
+    record_deg, mac_deg = graph.degrees()
+    assert record_deg.tolist() == [len(neighbors) for neighbors, _ in records]
+    assert mac_deg.tolist() == [len(neighbors) for neighbors, _ in macs]
+    saved = graph.state_dict()
+    for key in ("record_indptr", "edge_macs", "edge_weights"):
+        assert saved[key].dtype == np.asarray(state[key]).dtype
+        np.testing.assert_array_equal(saved[key], state[key])
+
+
 def assert_graphs_identical(ours: WeightedBipartiteGraph,
-                            oracle: WeightedBipartiteGraph) -> None:
-    assert ours.num_edges == oracle.num_edges
-    assert ours.num_records == oracle.num_records
-    assert ours._mac_names == oracle._mac_names
-    for side in (ours._record_neighbors, ours._record_weights,
-                 oracle._record_neighbors, oracle._record_weights):
-        assert len(side) == oracle.num_records
-    for u in range(oracle.num_records):
-        for got, want in ((ours._record_neighbors[u], oracle._record_neighbors[u]),
-                          (ours._record_weights[u], oracle._record_weights[u])):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-    assert ours._mac_neighbors == oracle._mac_neighbors
-    assert ours._mac_weights == oracle._mac_weights
-    for neighbors, weights in zip(ours._mac_neighbors, ours._mac_weights):
-        assert all(type(value) is int for value in neighbors)
-        assert all(type(value) is float for value in weights)
+                            other: WeightedBipartiteGraph) -> None:
+    assert_graph_matches(ours, other.state_dict())
 
 
 class TestReload:
@@ -201,13 +210,13 @@ class TestReload:
     def test_matches_per_edge_reference(self, seed):
         state = random_graph_state(seed)
         graph = WeightedBipartiteGraph.from_state_dict(state)
-        assert_graphs_identical(graph, reference_from_state_dict(state))
+        assert_graph_matches(graph, state)
         graph.validate()
 
     def test_empty_graph(self):
         state = WeightedBipartiteGraph().state_dict()
         graph = WeightedBipartiteGraph.from_state_dict(state)
-        assert_graphs_identical(graph, reference_from_state_dict(state))
+        assert_graph_matches(graph, state)
         assert graph.num_records == graph.num_macs == graph.num_edges == 0
 
     def test_zero_degree_records_and_edgeless_macs(self):
@@ -217,7 +226,7 @@ class TestReload:
         graph.add_record(SignalRecord({"c": -40.0, "a": -90.0}))
         state = graph.state_dict()
         clone = WeightedBipartiteGraph.from_state_dict(state)
-        assert_graphs_identical(clone, reference_from_state_dict(state))
+        assert_graph_matches(clone, state)
         assert clone.degree(RECORD, 2) == 0
         assert clone.degree(MAC, clone.mac_index("never-heard")) == 0
 
@@ -225,10 +234,12 @@ class TestReload:
         state = next(state for state in map(random_graph_state, range(100))
                      if len(state["edge_macs"]))
         graph = WeightedBipartiteGraph.from_state_dict(state)
-        oracle = reference_from_state_dict(state)
+        saved = {key: (value.copy() if isinstance(value, np.ndarray) else value)
+                 for key, value in state.items()}
         state["edge_macs"][:] = 0
         state["edge_weights"][:] = -1.0
-        assert_graphs_identical(graph, oracle)
+        state["record_indptr"][:] = 0
+        assert_graph_matches(graph, saved)
 
     def test_reloaded_graph_keeps_growing_like_the_original(self):
         graph = small_graph()
@@ -238,24 +249,63 @@ class TestReload:
         assert_graphs_identical(clone, graph)
         clone.validate()
 
+    def test_csr_views_match_mac_csr(self):
+        graph = WeightedBipartiteGraph.from_state_dict(random_graph_state(4))
+        indptr, macs, weights = graph.csr()
+        mac_indptr, owners, mac_weights = graph.mac_csr()
+        assert mac_indptr[-1] == len(owners) == len(macs) == graph.num_edges
+        # Both sides list the same multiset of (record, mac, weight) edges.
+        rows = np.repeat(np.arange(graph.num_records), np.diff(indptr))
+        cols = np.repeat(np.arange(graph.num_macs), np.diff(mac_indptr))
+        assert sorted(zip(rows.tolist(), macs.tolist(), weights.tolist())) == \
+            sorted(zip(owners.tolist(), cols.tolist(), mac_weights.tolist()))
+
+
+class TestCopy:
+    def test_appends_never_cross(self):
+        graph = small_graph()
+        graph.neighbors(MAC, 0)  # populate the derived MAC side first
+        clone = graph.copy()
+        before = graph.state_dict()
+        clone.add_record(SignalRecord({"a": -41.0, "new-in-clone": -50.0}))
+        assert_graph_matches(graph, before)
+        assert graph.mac_index("new-in-clone") is None
+        clone_state = clone.state_dict()
+        for _ in range(20):  # enough appends to outgrow every buffer
+            graph.add_record(SignalRecord({"b": -47.0, "new-in-original": -66.0}))
+        assert_graph_matches(clone, clone_state)
+        assert clone.mac_index("new-in-original") is None
+        assert clone.neighbors(MAC, clone.mac_index("a"))[0].tolist() == [0, 2]
+        assert graph.neighbors(MAC, graph.mac_index("a"))[0].tolist() == [0]
+        graph.validate()
+        clone.validate()
+
+    def test_copy_of_empty_graph(self):
+        clone = WeightedBipartiteGraph(weight_offset=90.0).copy()
+        assert clone.weight_offset == 90.0
+        assert clone.add_record(SignalRecord({"a": -50.0})) == 0
+        assert_graph_matches(clone, clone.state_dict())
+
 
 class TestValidate:
     def test_reports_the_offending_record(self):
         graph = small_graph()
         graph.add_record(SignalRecord({"a": -40.0}))
-        graph._record_weights[2] = np.array([-1.0])
+        indptr, _, _ = graph.csr()
+        graph._weights[indptr[2]] = -1.0
         with pytest.raises(AssertionError, match="record 2 has non-positive"):
             graph.validate()
 
     def test_unknown_mac_reported(self):
         graph = small_graph()
-        graph._record_neighbors[1] = np.array([0, 7])
+        indptr, _, _ = graph.csr()
+        graph._macs[indptr[1] + 1] = 7
         with pytest.raises(AssertionError, match="record 1 references unknown MAC"):
             graph.validate()
 
     def test_mismatched_arrays_reported(self):
         graph = small_graph()
-        graph._record_weights[0] = graph._record_weights[0][:1]
+        graph._indptr[1] = -1
         with pytest.raises(AssertionError, match="record 0 has mismatched"):
             graph.validate()
 
@@ -264,3 +314,17 @@ class TestValidate:
         graph._num_edges += 1
         with pytest.raises(AssertionError, match="out of sync"):
             graph.validate()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda state: state.update(edge_weights=state["edge_weights"][:-1]), "inconsistent"),
+        (lambda state: state["record_indptr"].__setitem__(1, 5), "inconsistent"),
+        (lambda state: state["edge_macs"].__setitem__(0, 9), "outside the name table"),
+        (lambda state: state["edge_macs"].__setitem__(0, -1), "outside the name table"),
+        (lambda state: state["edge_weights"].__setitem__(0, np.nan), "non-positive"),
+        (lambda state: state["edge_weights"].__setitem__(0, 0.0), "non-positive"),
+    ])
+    def test_bad_state_raises_value_error(self, corrupt, message):
+        state = small_graph().state_dict()
+        corrupt(state)
+        with pytest.raises(ValueError, match=message):
+            WeightedBipartiteGraph.from_state_dict(state)
