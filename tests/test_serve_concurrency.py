@@ -4,6 +4,7 @@ clean shutdown)."""
 
 import copy
 import math
+import sys
 import threading
 import time
 
@@ -12,8 +13,10 @@ import pytest
 from conftest import synthetic_records
 from repro.core import GEM, GEMConfig
 from repro.core.gem import RefreshJob
+from repro.core.records import SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import GeofenceFleet, MaintenancePolicy, ServingRuntime
+from test_batch_differential import assert_trees_identical
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
 
@@ -162,6 +165,50 @@ class TestSwapOnCommitRefresh:
         assert fleet.batchplane._kernels[fleet._cache["t"]][1] is not stale_kernel
         assert decisions == [reference.observe(r) for r in probe]
         fleet.close()
+
+    def test_snapshot_and_live_model_never_cross(self):
+        """The refresh snapshot shares the live model's cache arrays and
+        a shallow copy of its detector.  A rebuild racing live streaming
+        (new MACs extending the caches, detector updates) must change
+        neither side: the job ends as a sequential refresh of a deep
+        copy does, and the live model decides as an unrefreshed deep
+        copy does."""
+        gem = make_gem().fit(tenant_records(0))
+        gem.observe_many(tenant_records(0, n=20, seed_offset=1))
+        refresh_records = tenant_records(0, n=8, seed_offset=3)
+        refreshed, unrefreshed = copy.deepcopy(gem), copy.deepcopy(gem)
+        refreshed.refresh(refresh_records)
+        stream = [SignalRecord({**r.readings, f"new-{i % 5}": -58.0})
+                  for i, r in enumerate(tenant_records(0, n=60, seed_offset=5))]
+        expected = unrefreshed.observe_many(stream)
+
+        job = gem.begin_refresh(refresh_records)
+        errors: list[BaseException] = []
+
+        def build() -> None:
+            try:
+                job.build()
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=build)
+            thread.start()
+            decisions = []
+            for start in range(0, len(stream), 4):
+                decisions.extend(gem.observe_many(stream[start:start + 4]))
+            thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not errors, errors
+        assert decisions == expected
+        assert job.absorbed == len(refresh_records)
+        assert_trees_identical(job.embedder.state_dict(), refreshed.embedder.state_dict())
+        assert_trees_identical(job.detector.state_dict(), refreshed.detector.state_dict())
+        assert_trees_identical(gem.state_dict(), unrefreshed.state_dict())
 
     def test_inline_refresh_requires_built_unconsumed_job(self, tmp_path):
         gem = make_gem().fit(tenant_records(0))
