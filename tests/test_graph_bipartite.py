@@ -80,6 +80,13 @@ class TestQueries:
         with pytest.raises(ValueError):
             small_graph().neighbors("X", 0)
 
+    @pytest.mark.parametrize("side, index", [(RECORD, 2), (RECORD, -1), (MAC, 3), (MAC, -1)])
+    def test_neighbors_index_out_of_range(self, side, index):
+        # The edge buffers have spare capacity past the last record, so
+        # an unchecked index would read stale entries.
+        with pytest.raises(IndexError):
+            small_graph().neighbors(side, index)
+
     def test_degree_and_weighted_degree(self):
         graph = small_graph()
         assert graph.degree(RECORD, 0) == 2
