@@ -17,18 +17,15 @@ shapes to watch:
 * **coordinated refresh**: a fleet tenant whose controller runs the
   coordinated refresh (cache rebuild within the trained MAC universe +
   detector refit on the anchored inlier reservoir) recovers from the
-  churn shock at least as fast as pure online self-update — while the
-  deprecated raw ``refresh_cache_every`` path, which rebuilds caches
-  under the detector and admits never-trained MACs, never recovers at
-  all.  This is the headline number the control-plane redesign exists
-  for.
+  churn shock at least as fast as pure online self-update, while the
+  frozen snapshot never does.  This is the headline number the control
+  plane exists for.
 
 Every trajectory also lands as machine-readable JSON under
 ``benchmarks/results/*.json`` for regression tooling.
 """
 
 import tempfile
-import warnings
 
 from bench_common import (FULL, churn_shock_schedules, write_json_result,
                           write_result)
@@ -110,7 +107,7 @@ def test_drift_churn_shock(benchmark):
 
 
 def run_refresh_comparison():
-    """Four maintenance strategies over the identical churn-shock stream."""
+    """Three maintenance strategies over the identical churn-shock stream."""
     from repro.serve import FleetController, GeofenceFleet, MaintenancePolicy
 
     scenario = user_scenario(3)
@@ -120,11 +117,6 @@ def run_refresh_comparison():
 
     online = harness.run(gem(), label="online", online=True)
     static = harness.run(gem(), label="static", online=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        naive_spec = arm_spec("GEM", gem_config=GEMConfig(
-            bisage=BiSAGEConfig(epochs=2), refresh_cache_every=per_epoch // 2))
-        naive = harness.run(build_pipeline(naive_spec), label="naive-cache", online=True)
     policy = MaintenancePolicy(check_every=max(per_epoch // 4, 1),
                                refresh_every=max(per_epoch // 2, 1))
     with tempfile.TemporaryDirectory() as root:
@@ -135,31 +127,30 @@ def run_refresh_comparison():
             refresh = harness.run_fleet(fleet, "tenant", label="refresh",
                                         controller=controller)
             refresh.meta["refreshes"] = fleet.telemetry.totals().refreshes
-    return online, static, naive, refresh
+    return online, static, refresh
 
 
 def test_drift_coordinated_refresh(benchmark):
     """The control-plane headline: coordinated refresh recovers at least
-    as fast as pure online self-update; the frozen snapshot and the raw
-    ``refresh_cache_every`` rebuild are both strictly worse."""
-    online, static, naive, refresh = benchmark.pedantic(
+    as fast as pure online self-update; the frozen snapshot is strictly
+    worse."""
+    online, static, refresh = benchmark.pedantic(
         run_refresh_comparison, rounds=1, iterations=1)
     recoveries = {run.label: run.recovery_after(SHOCK_EPOCH)
-                  for run in (online, static, naive, refresh)}
+                  for run in (online, static, refresh)}
     rows = [[str(a.epoch), str(a.num_records),
-             f"{a.auc:.3f}", f"{b.auc:.3f}", f"{c.auc:.3f}", f"{d.auc:.3f}",
+             f"{a.auc:.3f}", f"{b.auc:.3f}", f"{c.auc:.3f}",
              "; ".join(a.events) or "-"]
-            for a, b, c, d in zip(refresh.epochs, online.epochs,
-                                  static.epochs, naive.epochs)]
+            for a, b, c in zip(refresh.epochs, online.epochs, static.epochs)]
     write_result("drift_coordinated_refresh", format_table(
         ["epoch", "records", "AUC refresh", "AUC online", "AUC static",
-         "AUC naive", "events"], rows,
+         "events"], rows,
         title=f"Coordinated refresh vs alternatives (shock at epoch {SHOCK_EPOCH})"))
     write_json_result("drift_coordinated_refresh", {
         "shock_epoch": SHOCK_EPOCH,
         "recovery_epochs": recoveries,
         "runs": {run.label: run.to_dict()
-                 for run in (online, static, naive, refresh)}})
+                 for run in (online, static, refresh)}})
     # Coordinated refresh: at least as fast as pure online self-update...
     assert recoveries["refresh"] is not None
     assert recoveries["online"] is not None
@@ -168,13 +159,12 @@ def test_drift_coordinated_refresh(benchmark):
     assert refresh.epochs[-1].fpr <= online.epochs[-1].fpr + 0.05
     assert refresh.epochs[-1].auc >= min(m.auc for m in refresh.epochs
                                          if m.epoch < SHOCK_EPOCH) - 0.02
-    # ...while the frozen snapshot and the raw cache rebuild stay
-    # strictly worse: slower to recover (or never) and degraded at the end.
-    for worse in (static, naive):
-        slow = recoveries[worse.label]
-        assert slow is None or slow > recoveries["refresh"]
-        assert worse.epochs[-1].auc <= refresh.epochs[-1].auc - 0.02
-        assert worse.epochs[-1].fpr >= refresh.epochs[-1].fpr + 0.3
+    # ...while the frozen snapshot stays strictly worse: slower to
+    # recover (or never) and degraded at the end.
+    slow = recoveries["static"]
+    assert slow is None or slow > recoveries["refresh"]
+    assert static.epochs[-1].auc <= refresh.epochs[-1].auc - 0.02
+    assert static.epochs[-1].fpr >= refresh.epochs[-1].fpr + 0.3
 
 
 def test_drift_progressive_retirement(benchmark):

@@ -21,13 +21,9 @@ also reports ``bytes_amplification`` (bytes actually written over the
 one-final-write floor) so a "cheap" delta that is secretly 90% of the
 model would show up.
 
-Two satellite arms ride along, both single-tenant drift trajectories
-through the same fleet + controller machinery:
+A satellite arm rides along, a single-tenant drift trajectory through
+the same fleet + controller machinery:
 
-* ``admission``: after a churn shock, compares coordinated refresh with
-  per-MAC support-threshold admission (``admit_new_macs_after=N``)
-  against both extremes — never admit (strict trained universe) and
-  admit on first sight (N=1).
 * ``worst_case``: a mass ambient-AP replacement sweep (shock fractions
   0.4 / 0.7 / 0.85 / **1.0 — total replacement**), where beyond a cliff
   refresh alone cannot recover because the trained MAC universe is
@@ -94,7 +90,7 @@ def parse_args(argv=None):
                              "(the pre-incremental behaviour)")
     parser.add_argument("--skip-arms", action="store_true",
                         help="run only the amplification fleet, not the "
-                             "admission / worst-case drift arms")
+                             "worst-case drift arm")
     parser.add_argument("--out", help="also write the JSON payload to this path")
     return parser.parse_args(argv)
 
@@ -250,12 +246,12 @@ def arm_spec() -> PipelineSpec:
     return PipelineSpec(model=ComponentSpec("gem", config.to_dict()))
 
 
-def arm_harness(quick: bool, epochs: int, shock_epoch: int, fraction: float,
-                churn: float = 0.04) -> DriftHarness:
-    """The bench_drift churn-shock world (user 3), parameterised shock."""
+def arm_harness(quick: bool, epochs: int, shock_epoch: int,
+                fraction: float) -> DriftHarness:
+    """The bench_drift churn-shock world (user 3): a parameterised shock
+    and no background AP churn."""
     scenario = user_scenario(3)
-    schedules = churn_shock_schedules(scenario, shock_epoch, fraction,
-                                      churn=churn)
+    schedules = churn_shock_schedules(scenario, shock_epoch, fraction, churn=0.0)
     timeline = DynamicsTimeline(scenario, schedules, num_epochs=epochs, seed=0)
     if quick:
         return DriftHarness(timeline, seed=0, train_duration_s=90.0,
@@ -292,27 +288,6 @@ def summarise(result, shock_epoch: int) -> dict:
         "final_fpr": result.epochs[-1].fpr,
         "actions": result.meta.get("action_counts", {}),
     }
-
-
-def run_admission_arm(args) -> dict:
-    """Support-threshold MAC admission vs both extremes after a shock."""
-    epochs = 5 if args.quick else 8
-    shock = 2 if args.quick else 3
-    spec = arm_spec()
-    per_epoch_obs = None
-    results = {}
-    for label, admit in (("never", 0), ("after-3", 3), ("first-sight", 1)):
-        harness = arm_harness(args.quick, epochs=epochs, shock_epoch=shock,
-                              fraction=0.3)
-        if per_epoch_obs is None:
-            per_epoch_obs = len(harness.epoch_records(0))
-        policy = MaintenancePolicy(check_every=max(per_epoch_obs // 4, 1),
-                                   refresh_every=max(per_epoch_obs // 2, 1),
-                                   admit_new_macs_after=admit)
-        result = run_policy_arm(harness, policy, label, spec)
-        results[label] = summarise(result, shock)
-    return {"shock_epoch": shock, "epochs": epochs,
-            "shock_fraction": 0.3, "policies": results}
 
 
 def run_worst_case_arm(args) -> dict:
@@ -358,7 +333,7 @@ def run_worst_case_arm(args) -> dict:
                          {"min_update_rate": 0.05}, 256))
         for label, extra, quarantine_size in arms:
             harness = arm_harness(args.quick, epochs=epochs, shock_epoch=shock,
-                                  fraction=fraction, churn=0.0)
+                                  fraction=fraction)
             per_epoch_obs = len(harness.epoch_records(0))
             if quarantine_size:
                 extra = dict(extra, recovery=RecoveryPolicy(
@@ -381,7 +356,6 @@ def main(argv=None) -> int:
     payload = run_fleet_arm(args)
     payload["meta"] = bench_metadata("fleet_drift", args)
     if not args.skip_arms:
-        payload["admission"] = run_admission_arm(args)
         payload["worst_case"] = run_worst_case_arm(args)
     rows = [[key, f"{value:.2f}" if isinstance(value, float) else str(value)]
             for key, value in payload.items() if not isinstance(value, dict)]
@@ -436,19 +410,12 @@ def main(argv=None) -> int:
             assert recovered["final_auc"] is not None \
                 and recovered["final_auc"] >= 0.9, recovered
             assert recovered["epochs_to_auc_0.9"] is not None, recovered
-            # ...below it, refresh alone recovers and escalation does not
-            # beat it (it measurably hurts)...
+            # ...and below it, refresh alone recovers and escalation does
+            # not beat it (it measurably hurts).
             below = payload["worst_case"]["scenarios"]["fraction-0.4"]
             assert below["refresh-only"]["recovery_epochs"] is not None, below
             assert below["refresh-only"]["final_auc"] >= \
                 below["escalate-2"]["final_auc"], below
-            # ...and strict trained-universe refresh beats (or ties) both
-            # MAC-admission relaxations after the shock.
-            admission = payload["admission"]["policies"]
-            assert admission["never"]["post_shock_mean_auc"] >= \
-                admission["after-3"]["post_shock_mean_auc"], admission
-            assert admission["never"]["post_shock_mean_auc"] >= \
-                admission["first-sight"]["post_shock_mean_auc"], admission
     return 0
 
 

@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.embedding.common import (
-    admitted_mask,
-    threshold_admissions,
     global_csr,
     initial_embedding_row,
     sampled_aggregation_matrix,
@@ -95,9 +93,6 @@ class GraphSAGE:
         self._cache_u: list[np.ndarray] = []
         self._cache_v: list[np.ndarray] = []
         self._macs_aggregated = 0
-        # Support-threshold admissions past the trained boundary; see
-        # BiSAGE._mac_admitted for the semantics.
-        self._mac_admitted: np.ndarray | None = None
         self._rng = as_rng(config.seed)
 
     def _node_key(self, side: str, index: int) -> int:
@@ -208,26 +203,12 @@ class GraphSAGE:
         self._cache_v = [layer[num_u:].copy() for layer in layers]
         self._macs_aggregated = num_v
 
-    def refresh_cache(self, admit_new_macs: bool = True,
-                      admit_new_macs_after: int | None = None) -> None:
-        """Recompute caches; see :meth:`repro.embedding.bisage.BiSAGE.refresh_cache`
-        for the ``admit_new_macs`` / ``admit_new_macs_after`` semantics
-        (the coordinated refresh path passes ``admit_new_macs=False`` to
-        keep the trained aggregation universe, optionally admitting
-        post-training MACs once N attached observations support them)."""
-        if admit_new_macs_after is not None and admit_new_macs_after < 1:
-            # Validate before the (expensive) rebuild mutates the caches.
-            raise ValueError(f"admit_new_macs_after must be >= 1 or None, "
-                             f"got {admit_new_macs_after}")
+    def refresh_cache(self) -> None:
+        """Recompute caches inside the trained MAC universe; see
+        :meth:`repro.embedding.bisage.BiSAGE.refresh_cache`."""
         boundary = self._macs_aggregated
-        graph = self._require_fitted()
         self._build_cache()
-        if admit_new_macs:
-            self._mac_admitted = None
-            return
-        self._macs_aggregated = min(boundary, graph.num_macs)
-        self._mac_admitted = threshold_admissions(graph, self._macs_aggregated,
-                                                  admit_new_macs_after)
+        self._macs_aggregated = boundary
 
     def _extend_mac_cache(self) -> None:
         graph = self._require_fitted()
@@ -275,11 +256,6 @@ class GraphSAGE:
             # Exclude MACs never aggregated (see BiSAGE: their cache rows
             # are random initials and would pollute the weighted mean).
             usable = neighbors < self._macs_aggregated
-            if self._mac_admitted is not None:
-                known = neighbors < len(self._mac_admitted)
-                extra = np.zeros(len(neighbors), dtype=bool)
-                extra[known] = self._mac_admitted[neighbors[known]]
-                usable |= extra
             neighbors, weights = neighbors[usable], weights[usable]
         if len(neighbors) == 0:
             return z
@@ -301,7 +277,6 @@ class GraphSAGE:
             neighbor_caches=self._cache_v,
             act=_ACTIVATIONS[self.config.activation][1],
             macs_aggregated=self._macs_aggregated,
-            mac_admitted=self._mac_admitted,
         )
 
     def inference_token(self) -> tuple:
@@ -311,7 +286,6 @@ class GraphSAGE:
             tuple(id(w) for w in self.weights),
             id(self._cache_v),
             self._macs_aggregated,
-            id(self._mac_admitted),
         )
 
     # ------------------------------------------------------------------
@@ -336,9 +310,6 @@ class GraphSAGE:
             "loss_history": [float(x) for x in self.loss_history],
             "parameters": export_parameters(self.parameters()),
         }
-        if self._mac_admitted is not None:
-            state["macs_admitted"] = np.flatnonzero(
-                self._mac_admitted[self._macs_aggregated:]) + self._macs_aggregated
         for name in ("u", "v"):
             layers = getattr(self, f"_cache_{name}")
             state[f"cache_{name}"] = {str(k): layer.copy() for k, layer in enumerate(layers)}
@@ -368,8 +339,6 @@ class GraphSAGE:
         self._macs_aggregated = int(state["macs_aggregated"])
         if self._macs_aggregated > graph.num_macs:
             raise ValueError(f"macs_aggregated={self._macs_aggregated} exceeds graph's {graph.num_macs} MACs")
-        self._mac_admitted = admitted_mask(state.get("macs_admitted"),
-                                           self._macs_aggregated, graph.num_macs)
         self.loss_history = [float(x) for x in state.get("loss_history", [])]
         self.graph = graph
         return self

@@ -18,8 +18,6 @@ reason                    what falls back
                           without ``observe_many`` (no batch contract at all)
 ``embedder``              matrix embedders (autoencoder / MDS / imputed
                           matrix) — no hoisted inference kernel
-``refresh_every``         graph embedders in the deprecated auto-refresh
-                          regime — caches can rebuild mid-stream
 ``detector``              LOF / iForest / feature bagging — their dense
                           kernels are batch-size-dependent, so batch scores
                           would not be bit-identical (see the registry's
@@ -58,11 +56,8 @@ def fastpath_reason(model) -> str | None:
     if not hasattr(model, "observe_many") or not hasattr(model, "embedder"):
         return "model"
     embedder = model.embedder
-    if not hasattr(embedder, "supports_batch_inference"):
-        return "embedder"
-    if getattr(embedder, "refresh_every", 0):
-        return "refresh_every"
-    if not embedder.supports_batch_inference():
+    if not (hasattr(embedder, "supports_batch_inference")
+            and embedder.supports_batch_inference()):
         return "embedder"
     detector = model.detector
     if not (hasattr(detector, "supports_batch_score")

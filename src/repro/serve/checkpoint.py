@@ -33,6 +33,9 @@ entry produced, so a write-back whose heavy arrays only *grew*
 (streamed records appended to the graph, lazily extended MAC caches)
 costs the tail, not the model.  A full save compacts the chain back to
 a plain format-2 checkpoint; format-2 checkpoints load unchanged.
+Saves made while two since-removed refresh options existed load through
+a second migration (``_drop_removed_options``) that drops them at their
+"off" value and refuses any other.
 
 Incremental crash safety extends the full-save story: the delta file is
 written first (same temp-file + ``os.replace`` + directory fsync), the
@@ -704,7 +707,53 @@ def load_state(directory: str | Path, _retries: int = 2) -> tuple[dict, dict]:
     full save) captured.
     """
     arrays, leaves, manifest, _ = _load_flat(Path(directory), _retries=_retries)
-    return unflatten_state(arrays, leaves), manifest
+    state = unflatten_state(arrays, leaves)
+    return state, _drop_removed_options(manifest, state)
+
+
+def _drop_removed_options(manifest: dict, state: dict) -> dict:
+    """Migrate a save that still carries the options removed as harmful.
+
+    ``refresh_cache_every`` (GEM, in spec and state) and the graph
+    embedders' ``refresh_every`` rebuilt the embedding caches without
+    refitting the detector; ``admit_new_macs_after`` (maintenance block)
+    let untrained MACs into aggregation, stored as BiSAGE/GraphSAGE
+    ``macs_admitted``.  Keys holding the old "off" value 0 are dropped,
+    and so is the embedder's ``observed_since_refresh`` counter, which
+    only a non-zero ``refresh_every`` read.  Any other value, or any
+    ``macs_admitted``, describes a model this build would serve
+    differently: :class:`CheckpointError` names the option.  ``state``
+    is migrated in place; the returned manifest carries the migrated
+    spec and leaves the caller's manifest untouched.
+    """
+    def drop_off(mapping, key: str, harm: str) -> None:
+        if isinstance(mapping, dict) and key in mapping:
+            value = mapping.pop(key)
+            if value != 0:
+                raise CheckpointError(
+                    f"checkpoint sets {key}={value!r}, an option removed because it "
+                    f"{harm}; re-provision the tenant to serve it with this build")
+
+    rebuild = "rebuilt the embedding caches without refitting the detector"
+    admit = "let MACs the weights never saw into aggregation"
+    raw = manifest.get("pipeline_spec")
+    if isinstance(raw, dict):
+        raw = json.loads(json.dumps(raw))
+        drop_off((raw.get("model") or {}).get("params"), "refresh_cache_every", rebuild)
+        drop_off((raw.get("embedder") or {}).get("params"), "refresh_every", rebuild)
+        drop_off(raw.get("maintenance"), "admit_new_macs_after", admit)
+        manifest = {**manifest, "pipeline_spec": raw}
+    drop_off(state.get("config"), "refresh_cache_every", rebuild)
+    embedder = state.get("embedder")
+    if isinstance(embedder, dict):
+        drop_off(embedder, "refresh_every", rebuild)
+        embedder.pop("observed_since_refresh", None)
+        if "macs_admitted" in (embedder.get("model") or {}):
+            raise CheckpointError(
+                "checkpoint holds macs_admitted, set by admit_new_macs_after, an option "
+                f"removed because it {admit}; re-provision the tenant to serve it "
+                "with this build")
+    return manifest
 
 
 def spec_from_manifest(manifest: dict, state: dict) -> PipelineSpec:
@@ -772,6 +821,7 @@ def load_checkpoint_with_baseline(directory: str | Path) -> tuple:
     directory = Path(directory)
     arrays, leaves, manifest, tip = _load_flat(directory)
     state = unflatten_state(arrays, leaves)
+    manifest = _drop_removed_options(manifest, state)
     spec = spec_from_manifest(manifest, state)
     try:
         model = build_pipeline(spec)

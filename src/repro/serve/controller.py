@@ -233,14 +233,7 @@ class FleetController:
                         actions.append("reprovision")
                         state.trigger_streak = 0
                     else:
-                        if policy.admit_new_macs_after:
-                            self.fleet.refresh(
-                                tenant_id,
-                                admit_new_macs_after=policy.admit_new_macs_after)
-                        else:
-                            # No kwarg: stays compatible with fleet stand-ins
-                            # that only implement refresh(tenant_id).
-                            self.fleet.refresh(tenant_id)
+                        self.fleet.refresh(tenant_id)
                         actions.append("refresh")
                         state.trigger_streak = state.trigger_streak + 1 if triggered else 0
                 state.failed_refresh_streak = 0

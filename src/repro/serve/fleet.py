@@ -365,14 +365,11 @@ class GeofenceFleet:
     # ------------------------------------------------------------------
     # Maintenance mechanics (driven by the control plane)
     # ------------------------------------------------------------------
-    def refresh(self, tenant_id: str,
-                admit_new_macs_after: int | None = None) -> int:
+    def refresh(self, tenant_id: str) -> int:
         """Coordinated refresh of one tenant from its inlier reservoir.
 
         Rebuilds the tenant model's embedding caches (trained MAC
-        universe preserved, unless ``admit_new_macs_after=N`` admits
-        post-training MACs with at least N attached observations) and
-        refits its detector on the re-embedded anchor + recent
+        universe preserved) and refits its detector on the re-embedded anchor + recent
         reservoir, atomically (see
         :meth:`repro.core.gem.EmbeddingGeofencer.refresh`): a failure
         leaves the tenant serving its pre-refresh state, un-dirtied by
@@ -409,12 +406,10 @@ class GeofenceFleet:
                         raise ValueError(
                             f"tenant {tenant_id!r} already has a refresh rebuilding; "
                             "overlapping refreshes would silently revert each other")
-                    job = model.begin_refresh(records,
-                                              admit_new_macs_after=admit_new_macs_after)
+                    job = model.begin_refresh(records)
                     self._refreshing.add(tenant_id)
                 else:
-                    absorbed = (model.refresh(records, admit_new_macs_after=admit_new_macs_after)
-                                if admit_new_macs_after is not None else model.refresh(records))
+                    absorbed = model.refresh(records)
                     self._dirty.add(tenant_id)
             if staged:
                 try:

@@ -283,9 +283,8 @@ class ServingRuntime:
         return self.shard_for(tenant_id).provision(tenant_id, records,
                                                    metadata=metadata, spec=spec)
 
-    def refresh(self, tenant_id: str, admit_new_macs_after: int | None = None) -> int:
-        return self.shard_for(tenant_id).refresh(
-            tenant_id, admit_new_macs_after=admit_new_macs_after)
+    def refresh(self, tenant_id: str) -> int:
+        return self.shard_for(tenant_id).refresh(tenant_id)
 
     def reprovision(self, tenant_id: str) -> GeofenceModel:
         return self.shard_for(tenant_id).reprovision(tenant_id)

@@ -23,6 +23,7 @@ from repro.core.config import GEMConfig
 from repro.core.records import SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
 from repro.eval.algorithms import ALGORITHM_NAMES, arm_accepts, arm_spec
+from repro.graph.bipartite import RECORD
 from repro.pipeline import build_pipeline
 from repro.serve.batchplane import BatchPlane, fastpath_reason
 
@@ -193,23 +194,41 @@ def test_unknown_macs_score_plus_inf_on_both_paths():
     assert math.isinf(batch.score) and not batch.inside
 
 
-def test_threshold_admissions_refresh_matches_scalar():
-    """After ``refresh(admit_new_macs_after=N)`` the embedder carries a
-    non-None admissions mask, so the kernel's admitted-MAC usable-filter
-    extension (not just the plain trained-universe cut) must reproduce
-    the scalar loop bit-for-bit."""
-    model = build_arm("GEM")
+@pytest.mark.parametrize("arm", ["GEM", "GraphSAGE+OD"])
+def test_refresh_keeps_post_training_macs_out(arm):
+    """The aggregation universe stays the trained one: after a
+    coordinated refresh, a MAC first seen after training — however many
+    attached records sense it — contributes nothing, on the scalar
+    ``embed`` and on the batch kernel alike, and the two paths still
+    agree bit-for-bit."""
+    model = build_arm(arm)
     model.fit(synthetic_records(40, seed=3))
+    boundary = model.embedder.model._macs_aggregated
     churn = synthetic_records(30, seed=13)
     for i, record in enumerate(churn):
         record.readings[f"post-train-mac-{i % 4}"] = -65.0 - (i % 4)
     for record in churn:
         model.observe(record)
-    model.refresh(synthetic_records(20, seed=14), admit_new_macs_after=2)
-    embedder = model.embedder.model
-    assert embedder._mac_admitted is not None
-    assert embedder._mac_admitted[embedder._macs_aggregated:].any(), \
-        "no post-boundary MAC was admitted; the test exercises nothing"
+    model.refresh(synthetic_records(20, seed=14))
+    embedder = model.embedder
+    graph = embedder.graph
+    newcomer = graph.mac_index("post-train-mac-0")
+    assert newcomer >= boundary
+    assert graph.degrees()[1][newcomer] >= 7, "the newcomer must be well supported"
+    assert embedder.model._macs_aggregated == boundary
+
+    kernel = embedder.batched_inference()
+    probe = synthetic_records(1, seed=15)[0]
+    sensing = SignalRecord({**probe.readings, "post-train-mac-0": -40.0})
+    assert np.array_equal(embedder.embed(sensing, attach=False),
+                          embedder.embed(probe, attach=False))
+    index = graph.add_record(sensing)
+    neighbors, weights = graph.neighbors(RECORD, index)
+    assert newcomer in neighbors
+    keep = neighbors != newcomer
+    row = kernel.embed(neighbors, weights)
+    assert np.array_equal(row, kernel.embed(neighbors[keep], weights[keep]))
+    assert np.array_equal(row, embedder.model.embed_record_node(index))
 
     scalar_model = copy.deepcopy(model)
     batch_model = copy.deepcopy(model)

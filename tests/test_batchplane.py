@@ -113,15 +113,6 @@ class TestKernelCache:
 
 
 class TestFallbackMatrix:
-    @pytest.mark.filterwarnings("ignore:GEMConfig.refresh_cache_every is deprecated")
-    def test_refresh_every_regime_falls_back(self):
-        gem = fitted_gem(refresh_cache_every=500)
-        assert fastpath_reason(gem) == "refresh_every"
-        decisions, outcome = BatchPlane().observe_batch(
-            gem, synthetic_records(4, seed=5))
-        assert outcome == "fallback_refresh_every"
-        assert len(decisions) == 4
-
     def test_registry_flag_matches_live_capability(self):
         assert get_component("detector", "histogram").supports_batch_score
         assert get_component("model", "gem").supports_batch_score

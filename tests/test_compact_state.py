@@ -20,8 +20,11 @@ from conftest import synthetic_records
 from repro.core import GEM, GEMConfig
 from repro.core.records import SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
-from repro.serve.checkpoint import (load_checkpoint, load_checkpoint_with_baseline,
-                                    read_manifest, save_checkpoint, save_incremental)
+from repro.pipeline import ComponentSpec, PipelineSpec, build_pipeline
+from repro.serve import MaintenancePolicy
+from repro.serve.checkpoint import (MANIFEST_NAME, CheckpointError, load_checkpoint,
+                                    load_checkpoint_with_baseline, read_manifest,
+                                    save_checkpoint, save_incremental)
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "full_record_layers"
 
@@ -101,6 +104,121 @@ class TestFullRecordLayerCheckpoint:
         state["embedder"]["model"]["record_h"] = state["embedder"]["model"]["record_h"][:-1]
         with pytest.raises(ValueError, match="record caches"):
             GEM(model.config).load_state_dict(state)
+
+
+def rewrite_checkpoint(directory: Path, spec=None, leaves=None, arrays=None) -> None:
+    """Edit a saved checkpoint in place, as an older build would have
+    written it: ``spec`` mutates the manifest's pipeline spec, ``leaves``
+    and ``arrays`` add state entries."""
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    if spec is not None:
+        spec(manifest["pipeline_spec"])
+    manifest["state"].update(leaves or {})
+    if arrays:
+        path = directory / manifest["arrays_file"]
+        with np.load(path) as saved:
+            stored = dict(saved)
+        stored.update(arrays)
+        np.savez(path, **stored)
+        manifest["array_keys"] = sorted(stored)
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def sage_checkpoint(directory: Path, embedder: str) -> Path:
+    """A fitted ``<embedder> + histogram`` pipeline saved by this build."""
+    spec = PipelineSpec(embedder=ComponentSpec(embedder, {"dim": 8, "epochs": 1}),
+                        detector=ComponentSpec("histogram"))
+    model = build_pipeline(spec).fit(synthetic_records(24, seed=0))
+    model.observe_many(synthetic_records(6, seed=1))
+    return save_checkpoint(model, directory)
+
+
+def set_maintenance(spec: dict) -> None:
+    spec["maintenance"] = {"check_every": 4, "refresh_every": 8,
+                           "admit_new_macs_after": 3}
+
+
+def set_gem_refresh(spec: dict) -> None:
+    spec["model"]["params"]["refresh_cache_every"] = 50
+
+
+def set_embedder_refresh(spec: dict) -> None:
+    spec["embedder"]["params"]["refresh_every"] = 3
+
+
+class TestRemovedRefreshOptions:
+    """Two refresh options were removed as measured harmful: the raw
+    cache rebuild (GEM ``refresh_cache_every``, embedder
+    ``refresh_every``) and untrained-MAC admission
+    (``admit_new_macs_after``, saved as ``macs_admitted``).  A
+    checkpoint holding them at their "off" value loads (the fixture
+    above is one); any other value is refused with the option named."""
+
+    @pytest.mark.parametrize("source, edit, option", [
+        ("gem", dict(spec=set_gem_refresh, leaves={"config/refresh_cache_every": 50}),
+         "refresh_cache_every"),
+        ("bisage", dict(spec=set_embedder_refresh, leaves={"embedder/refresh_every": 3,
+                                                           "embedder/observed_since_refresh": 2}),
+         "refresh_every"),
+        ("bisage", dict(arrays={"embedder/model/macs_admitted": np.array([8])}),
+         "admit_new_macs_after"),
+        ("graphsage", dict(arrays={"embedder/model/macs_admitted": np.array([8])}),
+         "admit_new_macs_after"),
+        ("gem", dict(spec=set_maintenance), "admit_new_macs_after"),
+    ], ids=["gem-refresh_cache_every", "bisage-refresh_every", "bisage-macs_admitted",
+            "graphsage-macs_admitted", "maintenance-admit_new_macs_after"])
+    def test_non_default_value_is_refused(self, tmp_path, source, edit, option):
+        directory = tmp_path / "tenant"
+        if source == "gem":
+            shutil.copytree(FIXTURE / "checkpoint", directory)
+        else:
+            sage_checkpoint(directory, source)
+        rewrite_checkpoint(directory, **edit)
+        with pytest.raises(CheckpointError, match=option):
+            load_checkpoint(directory)
+        with pytest.raises(CheckpointError, match=option):
+            load_checkpoint_with_baseline(directory)
+
+    @pytest.mark.parametrize("embedder", ["bisage", "graphsage"])
+    def test_off_values_are_dropped(self, tmp_path, embedder):
+        directory = sage_checkpoint(tmp_path / "tenant", embedder)
+        probe = synthetic_records(12, seed=9)
+        expected = [decision_row(d) for d in load_checkpoint(directory).observe_many(probe)]
+
+        def off(spec):
+            spec["embedder"]["params"]["refresh_every"] = 0
+            spec["maintenance"] = {"check_every": 4, "admit_new_macs_after": 0}
+
+        rewrite_checkpoint(directory, spec=off, leaves={
+            "embedder/refresh_every": 0, "embedder/observed_since_refresh": 5})
+        model = load_checkpoint(directory)
+        assert [decision_row(d) for d in model.observe_many(probe)] == expected
+        assert model.spec.maintenance.to_dict() == {"check_every": 4}
+        assert "refresh_every" not in model.spec.embedder.params
+        assert "observed_since_refresh" not in model.state_dict()["embedder"]
+
+    def test_incremental_save_removes_off_values_from_disk(self, tmp_path):
+        directory = sage_checkpoint(tmp_path / "tenant", "bisage")
+        dropped = {"embedder/refresh_every": 0, "embedder/observed_since_refresh": 5}
+        rewrite_checkpoint(directory, leaves=dropped)
+        model, _, baseline = load_checkpoint_with_baseline(directory)
+        model.observe_many(synthetic_records(4, seed=8))
+        kind, _ = save_incremental(model, directory, baseline)
+        assert kind == "delta"
+        assert set(dropped) <= set(read_manifest(directory)["deltas"][-1]["removed_leaves"])
+
+    @pytest.mark.parametrize("attempt", [
+        lambda: GEMConfig(refresh_cache_every=50),
+        lambda: ComponentSpec("bisage", {"refresh_every": 3}).resolve("embedder"),
+        lambda: MaintenancePolicy.from_dict({"admit_new_macs_after": 3}),
+        lambda: GEM(GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1))).fit(
+            synthetic_records(12, seed=0)).refresh(synthetic_records(4, seed=1),
+                                                   admit_new_macs_after=2),
+    ], ids=["GEMConfig", "embedder-spec", "MaintenancePolicy", "GEM.refresh"])
+    def test_live_api_no_longer_accepts_them(self, attempt):
+        with pytest.raises((TypeError, ValueError),
+                           match="refresh_cache_every|refresh_every|admit_new_macs_after"):
+            attempt()
 
 
 # ----------------------------------------------------------------------

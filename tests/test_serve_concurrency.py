@@ -309,6 +309,7 @@ class TestRuntimeStress:
         fleet.provision("t", tenant_records(0, n=40))
         stream = tenant_records(0, n=120, seed_offset=7)
         stop = threading.Event()
+        committed = threading.Event()
         outcomes = {"refreshes": 0, "stale": 0}
         errors: list[BaseException] = []
 
@@ -318,6 +319,7 @@ class TestRuntimeStress:
                     try:
                         fleet.refresh("t")
                         outcomes["refreshes"] += 1
+                        committed.set()
                     except ValueError:
                         outcomes["stale"] += 1  # evicted/replaced mid-rebuild
             except BaseException as error:  # noqa: BLE001
@@ -329,6 +331,10 @@ class TestRuntimeStress:
         for index, record in enumerate(stream):
             decisions.append(fleet.observe("t", record))
             if index % 30 == 29:
+                if index == 29:
+                    # On a loaded host every rebuild could straddle an
+                    # eviction and be discarded as stale; let one commit.
+                    committed.wait(30.0)
                 fleet.evict("t")
         stop.set()
         thread.join(30.0)
