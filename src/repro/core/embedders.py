@@ -90,14 +90,9 @@ class _GraphEmbedderBase:
         return self.model is not None and hasattr(self.model, "batched_inference")
 
     def batched_inference(self):
-        """Build the model's hoisted inference kernel (see nn/batch.py)."""
+        """The model's record-inference kernel (see nn/batch.py)."""
         self._require_fitted()
         return self.model.batched_inference()
-
-    def batch_token(self) -> tuple:
-        """Kernel-validity fingerprint; changes whenever inference would."""
-        self._require_fitted()
-        return self.model.inference_token()
 
     def attach_prepared(self, record: SignalRecord):
         """Attach one record and return its ``(neighbors, weights)`` arrays.
@@ -114,11 +109,6 @@ class _GraphEmbedderBase:
         index = self.graph.add_record(record)
         if not known:
             return None
-        # The scalar path extends per embedded record; replicating that
-        # keeps the cache arrays byte-identical in post-stream
-        # state_dict() trees (their final size depends on which record
-        # was embedded last, not just on the batch's MAC universe).
-        self.model._extend_mac_cache()
         return self.graph.neighbors(RECORD, index)
 
     def refresh_cache(self) -> None:
@@ -142,9 +132,11 @@ class _GraphEmbedderBase:
 
         The graph is copied — it is the only state either side writes
         in place — while the model's weights and caches are shared:
-        cache rebuilds and extensions rebind them, never write them, so
-        the copy's rebuild cannot reach this embedder, nor this
-        embedder's streaming the copy.
+        cache rebuilds rebind them, never write them, so the copy's
+        rebuild cannot reach this embedder, nor this embedder's
+        streaming the copy.  The inference kernel is not shared: its
+        scratch buffer is written by every embed, and the copy embeds
+        without the live pipeline's lock.
         """
         self._require_fitted()
         clone = copy.copy(self)
@@ -152,6 +144,7 @@ class _GraphEmbedderBase:
         clone.model = copy.copy(self.model)
         clone.model.graph = clone.graph
         clone.model._rng = copy.deepcopy(self.model._rng)
+        clone.model._kernel = None
         return clone
 
     # ------------------------------------------------------------------

@@ -159,9 +159,8 @@ class EmbeddingGeofencer:
     # ------------------------------------------------------------------
     def supports_batch_observe(self) -> bool:
         """True when both halves of the fused batch path are available:
-        a graph embedder exposing a hoisted inference kernel (in its
-        coordinated-maintenance regime) and a detector whose batch
-        scoring is bit-safe (``supports_batch_score``)."""
+        a graph embedder exposing an inference kernel and a detector
+        whose batch scoring is bit-safe (``supports_batch_score``)."""
         return (hasattr(self.embedder, "supports_batch_inference")
                 and self.embedder.supports_batch_inference()
                 and hasattr(self.detector, "supports_batch_score")
@@ -174,25 +173,20 @@ class EmbeddingGeofencer:
     # update-free runs still amortise the per-call scoring overhead.
     _SCORE_CHUNK = 64
 
-    def observe_many(self, records: Sequence[SignalRecord],
-                     kernel=None) -> list[GeofenceDecision]:
+    def observe_many(self, records: Sequence[SignalRecord]) -> list[GeofenceDecision]:
         """Observe a batch through the fused data plane.
 
         Semantically ``[self.observe(r) for r in records]`` — decisions,
         self-update behaviour and post-batch state are bit-identical to
         that scalar loop (the differential harness enforces it) — but
-        the per-record pipeline is restructured: one hoisted inference
+        the per-record pipeline is restructured: the embedder's inference
         kernel embeds every record, and the detector scores embedded
         rows in chunks via :meth:`score_batch` instead of three scalar
         evaluations per record.  A mid-batch detector update (confident
         inliers filling ``batch_update_size``) discards the unconsumed
         chunk, so later records are always scored by the detector state
-        the scalar loop would have shown them.
-
-        ``kernel`` lets a serving layer pass a cached kernel (see
-        :class:`repro.serve.batchplane.BatchPlane`); it must be valid
-        for the embedder's current ``batch_token()``.  Configurations
-        without batch support fall back to the scalar loop.
+        the scalar loop would have shown them.  Configurations without
+        batch support fall back to the scalar loop.
         """
         records = list(records)
         if not records:
@@ -201,12 +195,11 @@ class EmbeddingGeofencer:
             raise RuntimeError("pipeline has not been fitted; call fit first")
         if not self.supports_batch_observe():
             return [self.observe(record) for record in records]
-        if kernel is None:
-            kernel = self.embedder.batched_inference()
+        kernel = self.embedder.batched_inference()
 
         # Phase 1: attach + embed.  Graph mutations here are order-exact
-        # with the scalar loop (known-check before attach, per-embedded
-        # cache extension); empty-readings records never attach.
+        # with the scalar loop (known-check before attach); empty-readings
+        # records never attach.
         n = len(records)
         rows: list[np.ndarray | None] = [None] * n
         embedded: list[int] = []

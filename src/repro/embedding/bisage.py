@@ -116,17 +116,21 @@ class BiSAGE:
         self.weights_l: list[Parameter] = []
         self.loss_history: list[float] = []
         # Per-layer MAC caches (inference aggregates from these): lists
-        # of (n_V, d) arrays, index 0 = layer 0.  Record nodes keep only
-        # their layer-0 rows (reused by every cache rebuild) and their
-        # final primary embedding.  No array here is ever written in
-        # place — rebuilds and extensions rebind — so a refresh snapshot
-        # may share them.
+        # of (_macs_aggregated, d) arrays, index 0 = layer 0 — exactly
+        # the trained MAC universe, however many MACs the graph has
+        # interned since.  Record nodes keep only their layer-0 rows
+        # (reused by every cache rebuild) and their final primary
+        # embedding.  No array here is ever written in place — rebuilds
+        # rebind — so a refresh snapshot may share them.
         self._cache_hv: list[np.ndarray] = []
         self._cache_lv: list[np.ndarray] = []
         self._record_h0 = np.empty((0, config.dim))
         self._record_l0 = np.empty((0, config.dim))
         self._record_h = np.empty((0, config.dim))
         self._macs_aggregated = 0
+        # The one reader of the state above; built on first use and
+        # dropped whenever weights or caches are rebuilt.
+        self._kernel: SageInferenceKernel | None = None
         self._rng = as_rng(config.seed)
 
     # ------------------------------------------------------------------
@@ -185,7 +189,7 @@ class BiSAGE:
         pairs = walk_pairs(walker.corpus(), window=cfg.walk.window)
         if not pairs:
             # Degenerate graph (all nodes isolated): keep random weights.
-            self._build_cache()
+            self._build_cache(num_v)
             return self
         pair_ids = np.asarray(
             [[self._global_id(x, num_u), self._global_id(y, num_u)] for x, y in pairs],
@@ -220,7 +224,7 @@ class BiSAGE:
                 self.loss_history.append(loss.item())
                 step += 1
 
-        self._build_cache()
+        self._build_cache(num_v)
         return self
 
     @staticmethod
@@ -264,14 +268,16 @@ class BiSAGE:
     # ------------------------------------------------------------------
     # Inference caches
     # ------------------------------------------------------------------
-    def _build_cache(self) -> None:
+    def _build_cache(self, keep: int) -> None:
         """Recompute per-layer embeddings for every current node.
 
         Deterministic: uses full-neighbourhood aggregation (the sampled
         aggregator's expectation) so repeated calls agree.  Layer-0 rows
         are reused, not regenerated; only the layer being built and the
-        one before it exist for every node, and of those only each
-        layer's MAC rows and the final record rows are kept.
+        one before it exist for every node, and of those only the first
+        ``keep`` MAC rows of each layer — the aggregation universe — and
+        the final record rows are kept.  Layer-0 rows of MACs past
+        ``keep`` are derived for this pass only, as record rows are.
         """
         graph = self._require_fitted()
         cfg = self.config
@@ -280,10 +286,10 @@ class BiSAGE:
 
         self._record_h0 = self._extend_initial(self._record_h0, RECORD, num_u, "h")
         self._record_l0 = self._extend_initial(self._record_l0, RECORD, num_u, "l")
-        cache_hv = [self._extend_initial(self._cache_hv[0], MAC, num_v, "h")]
-        cache_lv = [self._extend_initial(self._cache_lv[0], MAC, num_v, "l")]
-        h = np.vstack([self._record_h0, cache_hv[0]])
-        l = np.vstack([self._record_l0, cache_lv[0]])
+        cache_hv = [self._cache_hv[0][:keep]]
+        cache_lv = [self._cache_lv[0][:keep]]
+        h = np.vstack([self._record_h0, self._extend_initial(cache_hv[0], MAC, num_v, "h")])
+        l = np.vstack([self._record_l0, self._extend_initial(cache_lv[0], MAC, num_v, "l")])
         matrix = full_aggregation_matrix(*global_csr(graph), num_u + num_v)
 
         # One (N, 2d) buffer holds [own row | aggregate] for every GEMM —
@@ -300,46 +306,28 @@ class BiSAGE:
             buf[:, cfg.dim:] = matrix @ h          # Eq. 5
             h = h_next
             l = _l2_rows(act(buf @ self.weights_l[k].data))        # Eq. 6 + 7
-            cache_hv.append(h[num_u:].copy())
-            cache_lv.append(l[num_u:].copy())
+            cache_hv.append(h[num_u:num_u + keep].copy())
+            cache_lv.append(l[num_u:num_u + keep].copy())
         del buf, matrix
 
         self._cache_hv, self._cache_lv = cache_hv, cache_lv
         self._record_h = h[:num_u].copy()
-        # MAC nodes at index >= this have never been through an
-        # aggregation pass; inference must not aggregate from them.
-        self._macs_aggregated = num_v
+        # The trained MAC universe: inference aggregates only from these.
+        self._macs_aggregated = keep
+        self._kernel = None
 
     def refresh_cache(self) -> None:
         """Recompute caches against the graph's *current* contents.
 
         Per-layer embeddings are recomputed over the grown graph, but the
-        aggregation universe stays the trained one: MACs first seen after
-        training keep out of inference-time aggregation until a full
-        re-provision retrains the weights on them.  Admitting them under
-        weights that never saw those nodes collapses in/out separation
-        after a churn shock (see README, "Negative results").
+        caches keep only the trained MAC universe: MACs first seen after
+        training take part in the rebuild's message passing, yet stay out
+        of inference-time aggregation until a full re-provision retrains
+        the weights on them.  Admitting them under weights that never saw
+        those nodes collapses in/out separation after a churn shock (see
+        README, "Negative results").
         """
-        boundary = self._macs_aggregated
-        self._build_cache()
-        self._macs_aggregated = boundary
-
-    def _extend_mac_cache(self) -> None:
-        """Lazily append rows for MAC nodes added after the last cache build.
-
-        New MACs enter at their (deterministic random) initial embedding
-        at every layer; a later :meth:`refresh_cache` gives them fully
-        aggregated embeddings.
-        """
-        graph = self._require_fitted()
-        have = self._cache_hv[0].shape[0] if self._cache_hv else 0
-        need = graph.num_macs
-        if need <= have:
-            return
-        extra_h = self._initial_matrix(MAC, need - have, "h", start=have)
-        extra_l = self._initial_matrix(MAC, need - have, "l", start=have)
-        self._cache_hv = [np.vstack([layer, extra_h]) for layer in self._cache_hv]
-        self._cache_lv = [np.vstack([layer, extra_l]) for layer in self._cache_lv]
+        self._build_cache(self._macs_aggregated)
 
     def _require_fitted(self) -> WeightedBipartiteGraph:
         if self.graph is None:
@@ -355,7 +343,12 @@ class BiSAGE:
         return self._record_h
 
     def mac_embeddings(self) -> np.ndarray:
-        """Final primary embeddings of all cached MAC nodes (n_V, d)."""
+        """Final primary embeddings of the trained MAC universe.
+
+        One row per MAC the weights were trained on
+        (``(_macs_aggregated, d)``); MACs interned after training have
+        no cached embedding.
+        """
         self._require_fitted()
         return self._cache_hv[-1]
 
@@ -370,8 +363,7 @@ class BiSAGE:
         inject irreducible score noise into every streamed decision.
         """
         graph = self._require_fitted()
-        neighbors, weights = graph.neighbors(RECORD, index)
-        return self._embed_from_neighbors(neighbors, weights)
+        return self.batched_inference().embed(*graph.neighbors(RECORD, index))
 
     def embed_readings(self, readings: dict[str, float]) -> np.ndarray | None:
         """Embed a record *without* mutating the graph.
@@ -387,75 +379,27 @@ class BiSAGE:
             return None
         neighbors = np.asarray([idx for idx, _ in known], dtype=np.int64)
         weights = np.asarray([graph.edge_weight_of_rss(rss) for _, rss in known])
-        return self._embed_from_neighbors(neighbors, weights)
+        return self.batched_inference().embed(neighbors, weights)
 
-    def _embed_from_neighbors(self, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """K aggregation rounds for one inference-time record node."""
-        cfg = self.config
-        act = _ACTIVATIONS[cfg.activation][1]
-        self._extend_mac_cache()
-        neighbor_h = self._cache_hv
-        neighbor_l = self._cache_lv
-
-        h = self._initial_row(RECORD, _INFERENCE_KEY, "h")
-        l = self._initial_row(RECORD, _INFERENCE_KEY, "l")
-        if len(neighbors):
-            # MACs added to the graph after the last cache build carry only
-            # their random initial embedding — aggregating from them would
-            # inject pure noise (one strong unknown MAC could dominate the
-            # weighted mean).  They join the aggregation after the next
-            # refresh_cache() gives them real embeddings.
-            usable = neighbors < self._macs_aggregated
-            neighbors, weights = neighbors[usable], weights[usable]
-        if len(neighbors) == 0:
-            return h
-        probabilities = weights / weights.sum()
-        for k in range(cfg.num_layers):
-            h_agg = probabilities @ neighbor_l[k][neighbors]   # Eq. 3 + Eq. 8
-            l_agg = probabilities @ neighbor_h[k][neighbors]   # Eq. 5 + Eq. 8
-            h = _l2_rows(act(np.concatenate([h, h_agg]) @ self.weights_h[k].data))
-            l = _l2_rows(act(np.concatenate([l, l_agg]) @ self.weights_l[k].data))
-        return h
-
-    # ------------------------------------------------------------------
-    # Batched inference (vectorized data plane)
-    # ------------------------------------------------------------------
     def batched_inference(self) -> SageInferenceKernel:
-        """Hoisted record-inference kernel for the batch data plane.
+        """This model's record-inference kernel (see ``nn/batch.py``).
 
-        Captures exactly what :meth:`embed_record_node` reads for a
-        RECORD-side node: the shared ``_INFERENCE_KEY`` initial row, the
-        primary weight stack, and the auxiliary MAC caches it aggregates
-        from (Eq. 3 + Eq. 8).  The auxiliary ``l`` stream is omitted —
-        the scalar loop updates it each layer but the returned primary
-        embedding never reads it back, so skipping it changes nothing.
-        Valid until :meth:`inference_token` changes.
+        Captures exactly what a RECORD-side inference node reads: the
+        shared ``_INFERENCE_KEY`` initial row, the primary weight stack,
+        and the auxiliary MAC caches it aggregates from (Eq. 3 + Eq. 8).
+        The node's auxiliary ``l`` stream is never read back into its
+        primary embedding, so the kernel does not compute it.  Built on
+        first use and rebuilt after every cache rebuild or load.
         """
-        self._require_fitted()
-        return SageInferenceKernel(
-            initial=self._initial_row(RECORD, _INFERENCE_KEY, "h"),
-            weights=[w.data for w in self.weights_h],
-            neighbor_caches=self._cache_lv,
-            act=_ACTIVATIONS[self.config.activation][1],
-            macs_aggregated=self._macs_aggregated,
-        )
-
-    def inference_token(self) -> tuple:
-        """Identity fingerprint of everything a kernel captures.
-
-        Any event that could change inference output — refresh-commit
-        swapping the embedder, ``load_state_dict`` rebuilding weights
-        and caches, ``refresh_cache`` rebinding the cache lists, even a
-        mid-batch ``_extend_mac_cache`` rebind — produces new objects
-        here, so an ``id``-based tuple comparison catches them all
-        without hashing array contents.
-        """
-        return (
-            id(self.graph),
-            tuple(id(w) for w in self.weights_h),
-            id(self._cache_lv),
-            self._macs_aggregated,
-        )
+        if self._kernel is None:
+            self._require_fitted()
+            self._kernel = SageInferenceKernel(
+                initial=self._initial_row(RECORD, _INFERENCE_KEY, "h"),
+                weights=[w.data for w in self.weights_h],
+                neighbor_caches=self._cache_lv,
+                act=_ACTIVATIONS[self.config.activation][1],
+            )
+        return self._kernel
 
     # ------------------------------------------------------------------
     # Persistence
@@ -467,12 +411,13 @@ class BiSAGE:
     def state_dict(self) -> dict:
         """Checkpointable state: config, weights and inference caches.
 
-        The per-layer MAC caches are saved verbatim (rather than rebuilt
-        on load) so a restored model reproduces inductive embeddings —
-        and therefore geofence decisions — bit-for-bit, even when MACs
-        were appended to the graph after the last :meth:`refresh_cache`.
-        Record nodes contribute their layer-0 rows (``record_h0`` /
-        ``record_l0``) and final primary rows (``record_h``).  The bound
+        The per-layer MAC caches (trained universe only) are saved
+        verbatim rather than rebuilt on load, so a restored model
+        reproduces inductive embeddings — and therefore geofence
+        decisions — bit-for-bit, however the graph has grown since the
+        last :meth:`refresh_cache`.  Record nodes contribute their
+        layer-0 rows (``record_h0`` / ``record_l0``) and final primary
+        rows (``record_h``).  The bound
         graph is *not* included; the owner saves it separately and
         passes it back to :meth:`load_state_dict`.
         """
@@ -497,7 +442,10 @@ class BiSAGE:
         reconstruction of it); cache shapes are validated against it.
         States saved in the older layout, which kept every layer of the
         record caches (``cache_hu`` / ``cache_lu``), load too: their
-        layer-0 and final rows are exactly the record rows kept now.
+        layer-0 and final rows are exactly the record rows kept now; so
+        do states whose MAC caches carry rows past ``macs_aggregated``
+        (appended for MACs interned after training, never read at
+        inference) — they are sliced off.
         """
         cfg = self.config
         saved_cfg = BiSAGEConfig.from_dict(state["config"])
@@ -507,8 +455,11 @@ class BiSAGE:
         self.weights_h = [Parameter(np.zeros((2 * cfg.dim, cfg.dim))) for _ in range(cfg.num_layers)]
         self.weights_l = [Parameter(np.zeros((2 * cfg.dim, cfg.dim))) for _ in range(cfg.num_layers)]
         load_parameters(self.parameters(), state["parameters"])
-        self._cache_hv = self._saved_layers(state, "cache_hv")
-        self._cache_lv = self._saved_layers(state, "cache_lv")
+        self._macs_aggregated = int(state["macs_aggregated"])
+        if self._macs_aggregated > graph.num_macs:
+            raise ValueError(f"macs_aggregated={self._macs_aggregated} exceeds graph's {graph.num_macs} MACs")
+        self._cache_hv = self._saved_layers(state, "cache_hv", self._macs_aggregated)
+        self._cache_lv = self._saved_layers(state, "cache_lv", self._macs_aggregated)
         if "record_h0" in state:
             records = [np.asarray(state[name], dtype=np.float64)
                        for name in ("record_h0", "record_l0", "record_h")]
@@ -523,14 +474,14 @@ class BiSAGE:
         num_u = len(self._record_h0)
         if num_u > graph.num_records:
             raise ValueError(f"cached {num_u} record nodes but graph has only {graph.num_records}")
-        self._macs_aggregated = int(state["macs_aggregated"])
-        if self._macs_aggregated > graph.num_macs:
-            raise ValueError(f"macs_aggregated={self._macs_aggregated} exceeds graph's {graph.num_macs} MACs")
         self.loss_history = [float(x) for x in state.get("loss_history", [])]
         self.graph = graph
+        self._kernel = None
         return self
 
-    def _saved_layers(self, state: dict, key: str) -> list[np.ndarray]:
+    def _saved_layers(self, state: dict, key: str, rows: int | None = None) -> list[np.ndarray]:
+        """The saved per-layer arrays under ``key``, each cut to its
+        first ``rows`` rows (all of them by default)."""
         saved = state[key]
         layers = [np.asarray(saved[str(k)], dtype=np.float64) for k in range(len(saved))]
         if len(layers) != self.config.num_layers + 1:
@@ -538,11 +489,13 @@ class BiSAGE:
         for layer in layers:
             if layer.shape[1] != self.config.dim:
                 raise ValueError(f"{key} dimension {layer.shape[1]} != config dim {self.config.dim}")
-        return layers
+            if rows is not None and len(layer) < rows:
+                raise ValueError(f"{key} has {len(layer)} rows, expected at least {rows}")
+        if rows is None:
+            return layers
+        return [layer[:rows].copy() if len(layer) > rows else layer for layer in layers]
 
 
 def _l2_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    if x.ndim == 1:
-        return x / np.sqrt((x * x).sum() + eps)
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True) + eps)
     return x / norms

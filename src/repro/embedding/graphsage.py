@@ -90,9 +90,12 @@ class GraphSAGE:
         self.graph: WeightedBipartiteGraph | None = None
         self.weights: list[Parameter] = []
         self.loss_history: list[float] = []
+        # Per-layer caches: every record row, and the MAC rows of the
+        # trained universe only (see BiSAGE's cache comment).
         self._cache_u: list[np.ndarray] = []
         self._cache_v: list[np.ndarray] = []
         self._macs_aggregated = 0
+        self._kernel: SageInferenceKernel | None = None
         self._rng = as_rng(config.seed)
 
     def _node_key(self, side: str, index: int) -> int:
@@ -127,7 +130,7 @@ class GraphSAGE:
         walker = RandomWalker(graph, cfg.walk, rng=as_rng(cfg.seed + 2))
         pairs = walk_pairs(walker.corpus(), window=cfg.walk.window)
         if not pairs:
-            self._build_cache()
+            self._build_cache(num_v)
             return self
         pair_ids = np.asarray(
             [[i if s == RECORD else num_u + i for s, i in (x, y)] for x, y in pairs],
@@ -161,7 +164,7 @@ class GraphSAGE:
                 self.loss_history.append(loss.item())
                 step += 1
 
-        self._build_cache()
+        self._build_cache(num_v)
         return self
 
     def _forward(self, z0: np.ndarray, aggregators, activation) -> Tensor:
@@ -185,7 +188,9 @@ class GraphSAGE:
     # ------------------------------------------------------------------
     # Caches and inference
     # ------------------------------------------------------------------
-    def _build_cache(self) -> None:
+    def _build_cache(self, keep: int) -> None:
+        """Recompute per-layer embeddings of every current node, keeping
+        the record rows and the first ``keep`` MAC rows of each layer."""
         graph = self._require_fitted()
         cfg = self.config
         num_u, num_v = graph.num_records, graph.num_macs
@@ -200,24 +205,14 @@ class GraphSAGE:
             agg = matrix @ layers[-1]
             layers.append(_l2_rows(act(np.hstack([layers[-1], agg]) @ self.weights[k].data)))
         self._cache_u = [layer[:num_u].copy() for layer in layers]
-        self._cache_v = [layer[num_u:].copy() for layer in layers]
-        self._macs_aggregated = num_v
+        self._cache_v = [layer[num_u:num_u + keep].copy() for layer in layers]
+        self._macs_aggregated = keep
+        self._kernel = None
 
     def refresh_cache(self) -> None:
         """Recompute caches inside the trained MAC universe; see
         :meth:`repro.embedding.bisage.BiSAGE.refresh_cache`."""
-        boundary = self._macs_aggregated
-        self._build_cache()
-        self._macs_aggregated = boundary
-
-    def _extend_mac_cache(self) -> None:
-        graph = self._require_fitted()
-        have = self._cache_v[0].shape[0] if self._cache_v else 0
-        need = graph.num_macs
-        if need <= have:
-            return
-        extra = self._initial_matrix(MAC, need - have, start=have)
-        self._cache_v = [np.vstack([layer, extra]) for layer in self._cache_v]
+        self._build_cache(self._macs_aggregated)
 
     def _require_fitted(self) -> WeightedBipartiteGraph:
         if self.graph is None:
@@ -229,12 +224,8 @@ class GraphSAGE:
         return self._cache_u[-1]
 
     def embed_record_node(self, index: int) -> np.ndarray:
-        # Inference nodes share one fixed initial embedding (see BiSAGE's
-        # _INFERENCE_KEY rationale): deterministic predictions, no
-        # per-record initialisation noise.
         graph = self._require_fitted()
-        neighbors, weights = graph.neighbors(RECORD, index)
-        return self._embed_from_neighbors(_INFERENCE_KEY, neighbors, weights)
+        return self.batched_inference().embed(*graph.neighbors(RECORD, index))
 
     def embed_readings(self, readings: dict[str, float]) -> np.ndarray | None:
         graph = self._require_fitted()
@@ -244,49 +235,24 @@ class GraphSAGE:
             return None
         neighbors = np.asarray([idx for idx, _ in known], dtype=np.int64)
         weights = np.asarray([graph.edge_weight_of_rss(rss) for _, rss in known])
-        return self._embed_from_neighbors(_INFERENCE_KEY, neighbors, weights)
+        return self.batched_inference().embed(neighbors, weights)
 
-    def _embed_from_neighbors(self, index: int, neighbors: np.ndarray,
-                              weights: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        act = _ACTIVATIONS[cfg.activation][1]
-        self._extend_mac_cache()
-        z = self._initial_row(RECORD, index)
-        if len(neighbors):
-            # Exclude MACs never aggregated (see BiSAGE: their cache rows
-            # are random initials and would pollute the weighted mean).
-            usable = neighbors < self._macs_aggregated
-            neighbors, weights = neighbors[usable], weights[usable]
-        if len(neighbors) == 0:
-            return z
-        probabilities = weights / weights.sum()
-        for k in range(cfg.num_layers):
-            agg = probabilities @ self._cache_v[k][neighbors]
-            z = _l2_rows(act(np.concatenate([z, agg]) @ self.weights[k].data))
-        return z
-
-    # ------------------------------------------------------------------
-    # Batched inference (vectorized data plane)
-    # ------------------------------------------------------------------
     def batched_inference(self) -> SageInferenceKernel:
-        """Hoisted record-inference kernel (see BiSAGE.batched_inference)."""
-        self._require_fitted()
-        return SageInferenceKernel(
-            initial=self._initial_row(RECORD, _INFERENCE_KEY),
-            weights=[w.data for w in self.weights],
-            neighbor_caches=self._cache_v,
-            act=_ACTIVATIONS[self.config.activation][1],
-            macs_aggregated=self._macs_aggregated,
-        )
+        """This model's record-inference kernel (see BiSAGE.batched_inference).
 
-    def inference_token(self) -> tuple:
-        """Identity fingerprint of the kernel's captures (see BiSAGE)."""
-        return (
-            id(self.graph),
-            tuple(id(w) for w in self.weights),
-            id(self._cache_v),
-            self._macs_aggregated,
-        )
+        Inference nodes share one fixed initial embedding (see BiSAGE's
+        ``_INFERENCE_KEY`` rationale): deterministic predictions, no
+        per-record initialisation noise.
+        """
+        if self._kernel is None:
+            self._require_fitted()
+            self._kernel = SageInferenceKernel(
+                initial=self._initial_row(RECORD, _INFERENCE_KEY),
+                weights=[w.data for w in self.weights],
+                neighbor_caches=self._cache_v,
+                act=_ACTIVATIONS[self.config.activation][1],
+            )
+        return self._kernel
 
     # ------------------------------------------------------------------
     # Persistence
@@ -299,7 +265,8 @@ class GraphSAGE:
         """Checkpointable state: config, weights and inference caches.
 
         Mirrors :meth:`repro.embedding.bisage.BiSAGE.state_dict`: the
-        per-layer caches are saved verbatim so a restored model
+        per-layer caches (MAC rows of the trained universe only) are
+        saved verbatim so a restored model
         reproduces inductive embeddings bit-for-bit; the bound graph is
         saved separately by the owner.
         """
@@ -316,7 +283,11 @@ class GraphSAGE:
         return state
 
     def load_state_dict(self, state: dict, graph: WeightedBipartiteGraph) -> "GraphSAGE":
-        """Restore a model saved by :meth:`state_dict` onto ``graph``."""
+        """Restore a model saved by :meth:`state_dict` onto ``graph``.
+
+        MAC cache rows past ``macs_aggregated``, which older states kept
+        for MACs interned after training, are sliced off.
+        """
         cfg = self.config
         saved_cfg = GraphSAGEConfig.from_dict(state["config"])
         if saved_cfg != cfg:
@@ -324,6 +295,9 @@ class GraphSAGE:
                              f"saved {saved_cfg}, constructed with {cfg}")
         self.weights = [Parameter(np.zeros((2 * cfg.dim, cfg.dim))) for _ in range(cfg.num_layers)]
         load_parameters(self.parameters(), state["parameters"])
+        self._macs_aggregated = int(state["macs_aggregated"])
+        if self._macs_aggregated > graph.num_macs:
+            raise ValueError(f"macs_aggregated={self._macs_aggregated} exceeds graph's {graph.num_macs} MACs")
         for name in ("u", "v"):
             saved = state[f"cache_{name}"]
             layers = [np.asarray(saved[str(k)], dtype=np.float64) for k in range(len(saved))]
@@ -333,19 +307,20 @@ class GraphSAGE:
                 if layer.shape[1] != cfg.dim:
                     raise ValueError(f"cache_{name} dimension {layer.shape[1]} != config dim {cfg.dim}")
             setattr(self, f"_cache_{name}", layers)
+        rows = self._macs_aggregated
+        if any(len(layer) < rows for layer in self._cache_v):
+            raise ValueError(f"cache_v has fewer than macs_aggregated={rows} rows")
+        self._cache_v = [layer[:rows].copy() if len(layer) > rows else layer
+                         for layer in self._cache_v]
         num_u = self._cache_u[0].shape[0]
         if num_u > graph.num_records:
             raise ValueError(f"cached {num_u} record nodes but graph has only {graph.num_records}")
-        self._macs_aggregated = int(state["macs_aggregated"])
-        if self._macs_aggregated > graph.num_macs:
-            raise ValueError(f"macs_aggregated={self._macs_aggregated} exceeds graph's {graph.num_macs} MACs")
         self.loss_history = [float(x) for x in state.get("loss_history", [])]
         self.graph = graph
+        self._kernel = None
         return self
 
 
 def _l2_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    if x.ndim == 1:
-        return x / np.sqrt((x * x).sum() + eps)
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True) + eps)
     return x / norms

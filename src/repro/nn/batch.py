@@ -1,45 +1,40 @@
-"""Fused inference kernels for the vectorized batch data plane.
+"""The one inference kernel of the SAGE embedders.
 
-A :class:`SageInferenceKernel` is the hoisted, allocation-lean form of
-the per-record inductive embedding step shared by BiSAGE and GraphSAGE
-(``_embed_from_neighbors``): the constant inference-node initial row,
-the per-layer weight matrices and the live neighbour cache lists are
-captured once per batch (or cached across batches by
-:class:`repro.serve.batchplane.BatchPlane`) instead of being re-derived
-record by record.
+A :class:`SageInferenceKernel` embeds one inference-time record node
+(Sec. IV-A) for BiSAGE and GraphSAGE alike: the constant inference-node
+initial row, the per-layer weight matrices and the per-layer neighbour
+caches are captured once, then every streamed record — scalar
+``embed_record_node``/``embed_readings`` and the batch data plane's
+``observe_many`` — runs through :meth:`SageInferenceKernel.embed`.
+Each model builds its kernel lazily in ``batched_inference()`` and drops
+it whenever the weights or caches are rebuilt, so a kernel never
+outlives the state it captured.
 
 Bit-identity contract
 ---------------------
-Every operation here must reproduce the scalar path's floats **bit for
-bit** — the differential harness (``tests/test_batch_differential.py``)
-enforces it.  Two consequences shape the implementation:
+The embedding must not depend on how records are batched — the
+differential harness (``tests/test_batch_differential.py``) checks it,
+and checks the kernel against a reference implementation of the
+paper's per-record maths.  Two consequences shape the implementation:
 
 * The K aggregation layers stay *per record*.  Batched dense matmuls
   are not an option: on this substrate the rows of a GEMM ``X @ W``
   differ in the last ulp from the per-row GEMV ``x @ W`` (and differ
   again across batch sizes), so one fused ``(B, 2d) @ W`` would break
-  both scalar-vs-vectorized identity and batch-size-1-vs-N identity.
-  The gathers, weighted means and GEMVs below are exactly the scalar
-  ops on exactly the scalar operands.
+  batch-size-1-vs-N identity.
 * The concat buffer is a layout trick only: filling a preallocated
   ``(2d,)`` buffer with the same values ``np.concatenate`` would
   produce feeds the identical contiguous operand to the identical
   GEMV, so the result is unchanged while the per-layer allocation is
-  not.
+  not.  The buffer makes a kernel single-threaded: it belongs to one
+  model, and a refresh snapshot builds its own.
 
-What the kernel *does* save per record: four ``initial_embedding_row``
-recomputations (the inference key is constant, so the rows are too),
-the dead auxiliary stream (BiSAGE's scalar path updates ``l`` each
-layer but the returned primary ``h`` never reads it), attribute-chain
-lookups, and one concat allocation per layer.  The big batch win —
-scoring the whole batch through the detector once — lives in
-:meth:`repro.detection.histogram.HistogramDetector.score_batch`.
-
-The kernel holds the neighbour cache *lists* by reference.  Mid-batch
-``_extend_mac_cache`` calls rebind the model's lists to longer arrays,
-but extension only appends rows for MACs past the aggregation boundary
-— never usable as neighbours until a refresh rebuilds the caches, at
-which point the owner's token check discards this kernel.
+Only the primary ``h`` stream is computed.  BiSAGE's auxiliary ``l``
+stream of an inference node is never read back into its primary
+embedding, so skipping it changes nothing.  Neighbours outside the
+trained MAC universe — indices at or past the caches' row count — are
+dropped before aggregation: the caches hold exactly the MACs the
+weights were trained on.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ __all__ = ["SageInferenceKernel"]
 
 
 class SageInferenceKernel:
-    """One record-side inference step, prepared for batch replay.
+    """One record-side inference step, prepared for replay.
 
     Parameters
     ----------
@@ -61,31 +56,28 @@ class SageInferenceKernel:
         Per-layer dense weight matrices ``(2d, d)`` (raw arrays, not
         Parameters).
     neighbor_caches:
-        The live list of per-layer neighbour cache arrays the scalar
-        path gathers from (BiSAGE: the auxiliary MAC caches
-        ``_cache_lv``; GraphSAGE: ``_cache_v``), held by reference.
+        Per-layer neighbour cache arrays, one row per trained MAC
+        (BiSAGE: the auxiliary MAC caches ``_cache_lv``; GraphSAGE:
+        ``_cache_v``).  Their row count bounds the usable neighbours.
     act:
-        The numpy activation function (the scalar path's exact one).
-    macs_aggregated:
-        The trained aggregation-universe boundary, snapshotted — it only
-        changes on a cache rebuild, which invalidates the kernel.
+        The numpy activation function.
     """
 
     def __init__(self, initial: np.ndarray, weights: list[np.ndarray],
-                 neighbor_caches: list[np.ndarray], act,
-                 macs_aggregated: int):
+                 neighbor_caches: list[np.ndarray], act):
         self.initial = np.asarray(initial, dtype=np.float64)
         self.weights = list(weights)
         if not self.weights:
             raise ValueError("SageInferenceKernel needs at least one layer")
-        self.neighbor_caches = neighbor_caches
+        self.neighbor_caches = list(neighbor_caches)
         self.act = act
-        self.macs_aggregated = int(macs_aggregated)
+        self.macs_aggregated = len(self.neighbor_caches[0])
         self._dim = self.initial.shape[0]
         self._buf = np.empty(2 * self._dim, dtype=np.float64)
 
     def embed(self, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Embedding row for one attached record — the scalar math, hoisted."""
+        """Embedding row for one record node from its ``(neighbors,
+        weights)`` edges (Eq. 3/4 + Eq. 7 + Eq. 8, K layers)."""
         if len(neighbors):
             usable = neighbors < self.macs_aggregated
             neighbors, weights = neighbors[usable], weights[usable]
@@ -106,6 +98,5 @@ class SageInferenceKernel:
 
 
 def _l2_vec(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    # Must match the embedders' _l2_rows 1-D branch exactly (same
-    # expression, same eps) — it is part of the bit-identity contract.
+    # Eq. 7 for one row.
     return x / np.sqrt((x * x).sum() + eps)

@@ -3,9 +3,7 @@
 ``GeofenceFleet.observe_many`` used to decay into a per-record python
 loop through the embedder and detector.  :class:`BatchPlane` routes a
 tenant's whole batch through ``EmbeddingGeofencer.observe_many``
-instead — one hoisted inference kernel, chunked detector scoring —
-while caching the kernel *across* batches, keyed by the embedder's
-``batch_token()`` identity fingerprint.
+instead — the embedder's inference kernel, chunked detector scoring.
 
 Eligibility and fallback
 ------------------------
@@ -17,7 +15,7 @@ reason                    what falls back
 ``model``                 standalone models (SignatureHome, INOA) and anything
                           without ``observe_many`` (no batch contract at all)
 ``embedder``              matrix embedders (autoencoder / MDS / imputed
-                          matrix) — no hoisted inference kernel
+                          matrix) — no inference kernel
 ``detector``              LOF / iForest / feature bagging — their dense
                           kernels are batch-size-dependent, so batch scores
                           would not be bit-identical (see the registry's
@@ -26,18 +24,19 @@ reason                    what falls back
 
 Fallback means exactly the old behaviour: ``model.observe`` per record.
 
-Cache invalidation
-------------------
-A cached kernel is reused only while the embedder's ``batch_token()``
-matches the one captured with it.  The token is built from object
-identities of everything the kernel reads, so every event that could
-change inference output invalidates it for free:
+Kernel lifetime
+---------------
+The plane caches nothing.  Each SAGE model owns its one inference
+kernel, built on first use, and drops it whenever what the kernel reads
+changes, so no batch can see a stale one:
 
-* **refresh commit** swaps the embedder object entirely (weak key dies);
-* **reprovision / evict+reload** replace the whole model (weak key dies);
-* **load_state_dict** rebuilds weights, graph and caches (token changes);
-* **cache extension** for newly interned MACs rebinds the cache list
-  (token changes → conservative rebuild next batch).
+* **refresh commit** swaps in the rebuilt embedder, whose model has its
+  own kernel (a refresh snapshot never shares the live one);
+* **reprovision / evict+reload** replace the whole model, kernel included;
+* **load_state_dict** and every cache rebuild drop the kernel.
+
+Newly interned MACs change nothing the kernel reads: the caches hold
+the trained MAC universe only, and the kernel drops neighbours outside it.
 
 Outcomes are counted per ``(arm, outcome)`` and mirrored to the metric
 family ``repro_batch_fastpath_total{shard, arm, outcome}`` when a
@@ -45,8 +44,6 @@ family ``repro_batch_fastpath_total{shard, arm, outcome}`` when a
 """
 
 from __future__ import annotations
-
-import weakref
 
 __all__ = ["BatchPlane", "fastpath_reason", "arm_label"]
 
@@ -82,17 +79,14 @@ def arm_label(model) -> str:
 
 
 class BatchPlane:
-    """Per-fleet batch router with a kernel cache and outcome counters.
+    """Per-fleet batch router with outcome counters.
 
     Not internally locked: the owning fleet calls :meth:`observe_batch`
     under the same lock that serialises every other mutation of the
-    tenant's model, which also guards the kernel cache and counters.
+    tenant's model, which also guards the counters.
     """
 
     def __init__(self, metrics=None, shard: str = "0"):
-        # model -> (token, kernel); weak keys let evicted/replaced
-        # models drop their kernels without any explicit hook.
-        self._kernels: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.counts: dict[tuple[str, str], int] = {}
         self._family = None
         self._children: dict[tuple[str, str], object] = {}
@@ -116,18 +110,9 @@ class BatchPlane:
             decisions = [model.observe(record) for record in records]
         else:
             outcome = "engaged"
-            decisions = model.observe_many(records, kernel=self._kernel_for(model))
+            decisions = model.observe_many(records)
         self._count(arm_label(model), outcome)
         return decisions, outcome
-
-    def _kernel_for(self, model):
-        token = model.embedder.batch_token()
-        cached = self._kernels.get(model)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        kernel = model.embedder.batched_inference()
-        self._kernels[model] = (token, kernel)
-        return kernel
 
     def _count(self, arm: str, outcome: str) -> None:
         key = (arm, outcome)

@@ -30,8 +30,9 @@ Format 3 (the **incremental** extension) is format 2 plus a ``deltas``
 chain in the manifest: each entry names a ``delta-<id>.npz`` file of
 append-tails / replacements / removals against the state the previous
 entry produced, so a write-back whose heavy arrays only *grew*
-(streamed records appended to the graph, lazily extended MAC caches)
-costs the tail, not the model.  A full save compacts the chain back to
+(streamed records appended to the graph; the MAC caches keep the
+trained universe and do not grow between refreshes) costs the tail,
+not the model.  A full save compacts the chain back to
 a plain format-2 checkpoint; format-2 checkpoints load unchanged.
 Saves made while two since-removed refresh options existed load through
 a second migration (``_drop_removed_options``) that drops them at their

@@ -8,6 +8,11 @@ byte-identical post-stream ``state_dict()`` trees.  Arms without batch
 support must come out identical too (the plane falls back to the same
 scalar loop), so the whole fallback matrix is exercised, not just the
 fast path.
+
+Both loops embed through the one ``SageInferenceKernel``; the kernel
+itself is checked bit-for-bit against a reference implementation of
+the per-record SAGE maths (BiSAGE with both of its streams, GraphSAGE),
+kept here as the oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import pytest
 from conftest import synthetic_records
 from repro.core.config import GEMConfig
 from repro.core.records import SignalRecord
+from repro.embedding import bisage, graphsage
 from repro.embedding.bisage import BiSAGEConfig
 from repro.eval.algorithms import ALGORITHM_NAMES, arm_accepts, arm_spec
 from repro.graph.bipartite import RECORD
@@ -288,3 +294,117 @@ def test_rescoring_window_restarts_after_each_flush():
     assert sum(windows) < 3 * len(stream)
     assert_decisions_identical(scalar, batch)
     assert_trees_identical(scalar_model.state_dict(), batch_model.state_dict())
+
+
+# ----------------------------------------------------------------------
+# Reference oracle: the per-record SAGE maths, written out in full
+# ----------------------------------------------------------------------
+def _l2(x: np.ndarray) -> np.ndarray:
+    return x / np.sqrt((x * x).sum() + 1e-12)
+
+
+def _usable(model, neighbors, weights):
+    # MACs outside the trained universe never aggregate (Sec. IV-A
+    # inference runs under weights that never saw them).
+    keep = neighbors < model._macs_aggregated
+    return neighbors[keep], weights[keep]
+
+
+def reference_bisage_embed(model, neighbors, weights) -> np.ndarray:
+    """K rounds of Algorithm 1 for one inference-time record node,
+    updating both the primary and the auxiliary stream (Eq. 3-8)."""
+    act = bisage._ACTIVATIONS[model.config.activation][1]
+    h = model._initial_row(RECORD, bisage._INFERENCE_KEY, "h")
+    l = model._initial_row(RECORD, bisage._INFERENCE_KEY, "l")
+    neighbors, weights = _usable(model, neighbors, weights)
+    if len(neighbors) == 0:
+        return h
+    probabilities = weights / weights.sum()
+    for k in range(model.config.num_layers):
+        h_agg = probabilities @ model._cache_lv[k][neighbors]   # Eq. 3 + Eq. 8
+        l_agg = probabilities @ model._cache_hv[k][neighbors]   # Eq. 5 + Eq. 8
+        h = _l2(act(np.concatenate([h, h_agg]) @ model.weights_h[k].data))
+        l = _l2(act(np.concatenate([l, l_agg]) @ model.weights_l[k].data))
+    return h
+
+
+def reference_graphsage_embed(model, neighbors, weights) -> np.ndarray:
+    """K homogeneous aggregation rounds for one inference-time node."""
+    act = graphsage._ACTIVATIONS[model.config.activation][1]
+    z = model._initial_row(RECORD, graphsage._INFERENCE_KEY)
+    neighbors, weights = _usable(model, neighbors, weights)
+    if len(neighbors) == 0:
+        return z
+    probabilities = weights / weights.sum()
+    for k in range(model.config.num_layers):
+        agg = probabilities @ model._cache_v[k][neighbors]
+        z = _l2(act(np.concatenate([z, agg]) @ model.weights[k].data))
+    return z
+
+
+REFERENCE = {"GEM": reference_bisage_embed, "GraphSAGE+OD": reference_graphsage_embed}
+
+
+@pytest.mark.parametrize("arm", sorted(REFERENCE))
+def test_kernel_matches_reference_maths(arm):
+    """The kernel reproduces the written-out maths bit-for-bit on empty,
+    all-untrained, mixed and fully-trained neighbour sets — before and
+    after a refresh that MACs interned since training took part in."""
+    model = build_arm(arm)
+    model.fit(synthetic_records(40, seed=3))
+    for refreshed in (False, True):
+        if refreshed:
+            model.refresh(synthetic_records(20, seed=14))
+        graph = model.embedder.graph
+        sage = model.embedder.model
+        boundary = sage._macs_aggregated
+        probe = synthetic_records(1, seed=16 + refreshed)[0]
+        readings = {**probe.readings, f"fresh-a-{refreshed}": -52.0,
+                    f"fresh-b-{refreshed}": -77.0}
+        neighbors, weights = graph.neighbors(RECORD, graph.add_record(SignalRecord(readings)))
+        trained = neighbors < boundary
+        assert trained.any() and not trained.all()
+        cases = {
+            "empty": (neighbors[:0], weights[:0]),
+            "all-untrained": (neighbors[~trained], weights[~trained]),
+            "mixed": (neighbors, weights),
+            "fully-trained": (neighbors[trained], weights[trained]),
+        }
+        kernel = sage.batched_inference()
+        for name, (nbrs, wts) in cases.items():
+            expected = REFERENCE[arm](sage, nbrs, wts)
+            got = kernel.embed(nbrs, wts)
+            assert got.tobytes() == expected.tobytes(), f"{name} (refreshed={refreshed})"
+
+
+@pytest.mark.parametrize("arm", ["GEM", "GraphSAGE+OD"])
+def test_fresh_mac_cohort_leaves_caches_at_trained_size(arm):
+    """A randomised-MAC cohort — every record carrying MACs never seen
+    before — grows the graph but not the MAC caches, through the batch
+    plane and a refresh alike, and decides exactly as the same stream
+    with those MACs stripped."""
+    model = build_arm(arm)
+    model.fit(synthetic_records(40, seed=3))
+    stripped_model = copy.deepcopy(model)
+    stream = adversarial_stream(64, seed=21)
+    cohort = [SignalRecord({**record.readings, f"cohort-{i}-a": -58.0,
+                            f"cohort-{i}-b": -71.0} if record.readings else {},
+                           timestamp=record.timestamp)
+              for i, record in enumerate(stream)]
+    decisions = []
+    stripped = []
+    for start in range(0, len(stream), 16):
+        decisions.extend(model.observe_many(cohort[start:start + 16]))
+        stripped.extend(stripped_model.observe_many(stream[start:start + 16]))
+    assert_decisions_identical(stripped, decisions)
+
+    model.refresh(synthetic_records(20, seed=14))
+    sage = model.embedder.model
+    fresh = 2 * sum(1 for record in stream if record.readings)
+    assert model.embedder.graph.num_macs >= sage._macs_aggregated + fresh
+    state = model.state_dict()["embedder"]["model"]
+    mac_caches = [key for key in ("cache_hv", "cache_lv", "cache_v") if key in state]
+    assert mac_caches
+    for key in mac_caches:
+        for layer in state[key].values():
+            assert layer.shape[0] == sage._macs_aggregated, key

@@ -1,8 +1,9 @@
 """Unit tests for the batch data plane's serving pieces.
 
-Covers the kernel cache lifecycle (reuse, refresh-commit invalidation,
-``load_state_dict`` invalidation, evict/reload weak-key drop,
-reprovision), the fallback matrix reasons, the
+Covers the lifecycle of the model-owned inference kernel as the plane
+sees it (reuse, new MACs leaving it alone, refresh-commit and
+``load_state_dict`` rebuilds, evict/reload drop, reprovision), the
+fallback matrix reasons, the
 ``repro_batch_fastpath_total`` metric family, the detector
 ``score_batch`` contract, and the batched telemetry recorder.
 """
@@ -10,6 +11,8 @@ reprovision), the fallback matrix reasons, the
 from __future__ import annotations
 
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -37,61 +40,77 @@ def fitted_gem(**overrides) -> GEM:
     return make_gem(**overrides).fit(synthetic_records(40, seed=0))
 
 
+def kernel_of(gem: GEM):
+    """The inference kernel the model currently holds (None if unbuilt)."""
+    return gem.embedder.model._kernel
+
+
 class TestKernelCache:
     def test_kernel_reused_across_batches_on_stable_state(self):
         gem = fitted_gem()
         plane = BatchPlane()
-        stream = synthetic_records(12, seed=5)  # same MAC universe: no rebind
+        stream = synthetic_records(12, seed=5)
         plane.observe_batch(gem, stream[:6])
-        first = plane._kernels[gem][1]
+        first = kernel_of(gem)
+        assert first is not None
         plane.observe_batch(gem, stream[6:])
-        assert plane._kernels[gem][1] is first
+        assert kernel_of(gem) is first
 
     def test_refresh_commit_invalidates_kernel(self):
-        """refresh() swaps the embedder inside the *same* model object —
-        the weak key survives, so the token comparison must catch it."""
+        """refresh() swaps the embedder inside the *same* model object;
+        the next batch must run on the rebuilt embedder's own kernel."""
         gem = fitted_gem()
         plane = BatchPlane()
         plane.observe_batch(gem, synthetic_records(6, seed=5))
-        stale = plane._kernels[gem][1]
+        stale = kernel_of(gem)
         gem.refresh(synthetic_records(20, seed=6))
         reference = copy.deepcopy(gem)
         probe = synthetic_records(8, seed=7)
         decisions, outcome = plane.observe_batch(gem, probe)
         assert outcome == "engaged"
-        assert plane._kernels[gem][1] is not stale
+        assert kernel_of(gem) is not stale
         assert decisions == [reference.observe(r) for r in probe]
 
     def test_load_state_dict_invalidates_kernel(self):
         gem = fitted_gem()
         plane = BatchPlane()
         plane.observe_batch(gem, synthetic_records(6, seed=5))
-        stale = plane._kernels[gem][1]
+        stale = kernel_of(gem)
         gem.load_state_dict(fitted_gem().state_dict())
         plane.observe_batch(gem, synthetic_records(6, seed=8))
-        assert plane._kernels[gem][1] is not stale
+        assert kernel_of(gem) is not stale
 
-    def test_cache_extension_for_new_macs_invalidates_kernel(self):
-        """Interned-MAC cache extension rebinds the cache lists; the next
-        batch must rebuild rather than reuse the stale capture."""
+    def test_new_macs_keep_kernel(self):
+        """Interning a new MAC changes nothing the kernel reads, so the
+        kernel survives it; a refresh commit and ``load_state_dict``
+        still replace it."""
         gem = fitted_gem()
         plane = BatchPlane()
         plane.observe_batch(gem, synthetic_records(4, seed=5))
-        stale = plane._kernels[gem][1]
+        kept = kernel_of(gem)
         mixed = synthetic_records(4, seed=9)
         mixed[1].readings["brand-new-mac"] = -70.0  # interns a new MAC
         plane.observe_batch(gem, mixed)
         plane.observe_batch(gem, synthetic_records(4, seed=10))
-        assert plane._kernels[gem][1] is not stale
+        assert gem.embedder.graph.mac_index("brand-new-mac") is not None
+        assert kernel_of(gem) is kept
+        gem.refresh(synthetic_records(20, seed=6))
+        plane.observe_batch(gem, synthetic_records(4, seed=11))
+        refreshed = kernel_of(gem)
+        assert refreshed is not kept
+        gem.load_state_dict(gem.state_dict())
+        plane.observe_batch(gem, synthetic_records(4, seed=12))
+        assert kernel_of(gem) is not refreshed
 
     def test_evict_reload_round_trip_drops_kernel(self, tmp_path):
         fleet = GeofenceFleet(tmp_path / "m", capacity=2, model_factory=make_gem,
                               reservoir_size=16)
         fleet.provision("t", synthetic_records(30, seed=0))
         fleet.observe_many([("t", r) for r in synthetic_records(6, seed=5)])
-        assert len(fleet.batchplane._kernels) == 1
+        kernel = weakref.ref(kernel_of(fleet._cache["t"]))
         fleet.evict("t")
-        assert len(fleet.batchplane._kernels) == 0  # weak key died with the model
+        gc.collect()
+        assert kernel() is None  # died with the evicted model
         # The reloaded model gets a fresh kernel and identical decisions.
         reloaded_ref = copy.deepcopy(fleet.registry.load("t"))
         probe = synthetic_records(6, seed=11)

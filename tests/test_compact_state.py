@@ -105,6 +105,21 @@ class TestFullRecordLayerCheckpoint:
         with pytest.raises(ValueError, match="record caches"):
             GEM(model.config).load_state_dict(state)
 
+    def test_mac_caches_load_at_the_trained_universe(self):
+        """The fixture's MAC caches carry a row for a MAC interned after
+        training; it is sliced off on load, and a cache shorter than the
+        trained universe is refused."""
+        arrays = np.load(next((FIXTURE / "checkpoint").glob("arrays-*.npz")))
+        model = load_checkpoint(FIXTURE / "checkpoint")
+        sage = model.embedder.model
+        assert arrays["embedder/model/cache_hv/2"].shape[0] == sage._macs_aggregated + 1
+        for layer in sage._cache_hv + sage._cache_lv:
+            assert layer.shape[0] == sage._macs_aggregated
+        state = model.state_dict()
+        state["embedder"]["model"]["cache_lv"]["1"] = state["embedder"]["model"]["cache_lv"]["1"][:-1]
+        with pytest.raises(ValueError, match="cache_lv has"):
+            GEM(model.config).load_state_dict(state)
+
 
 def rewrite_checkpoint(directory: Path, spec=None, leaves=None, arrays=None) -> None:
     """Edit a saved checkpoint in place, as an older build would have

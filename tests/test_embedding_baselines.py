@@ -93,6 +93,23 @@ class TestGraphSAGE:
         with pytest.raises(ValueError):
             GraphSAGE().fit(build_graph([]))
 
+    def test_state_with_rows_past_trained_macs_loads_sliced(self):
+        """Older states kept MAC cache rows for MACs interned after
+        training; loading cuts them to the trained universe."""
+        records = synthetic_records(20, num_macs=8, seed=2)
+        graph = build_graph(records)
+        cfg = GraphSAGEConfig(dim=8, epochs=1, seed=0)
+        model = GraphSAGE(cfg).fit(graph)
+        graph.add_record(make_record({**records[0].readings, "late-mac": -60.0}))
+        state = model.state_dict()
+        trained = state["macs_aggregated"]
+        state["cache_v"] = {k: np.vstack([layer, np.ones((1, 8))])
+                            for k, layer in state["cache_v"].items()}
+        loaded = GraphSAGE(cfg).load_state_dict(state, graph)
+        assert [layer.shape[0] for layer in loaded._cache_v] == [trained] * 3
+        np.testing.assert_array_equal(loaded.embed_readings(dict(records[1].readings)),
+                                      model.embed_readings(dict(records[1].readings)))
+
 
 class TestConvAutoencoder:
     def test_training_reduces_loss(self):

@@ -112,14 +112,19 @@ class TestInductiveInference:
         embedding = model.embed_record_node(idx)
         assert embedding.shape == (FAST.dim,)
 
-    def test_attach_with_new_macs_extends_cache(self, fitted):
+    def test_attach_with_new_macs_keeps_trained_cache(self, fitted):
+        """A MAC interned after training grows the graph, not the caches,
+        and contributes nothing to the embedding."""
         model, graph, records = fitted
         readings = dict(records[0].readings)
+        without = graph.add_record(SignalRecord(dict(readings)))
         readings["brand-new-mac"] = -60.0
         idx = graph.add_record(SignalRecord(readings))
         embedding = model.embed_record_node(idx)
-        assert np.isfinite(embedding).all()
-        assert model._cache_hv[0].shape[0] == graph.num_macs
+        assert graph.num_macs > model._macs_aggregated
+        for layer in model._cache_hv + model._cache_lv:
+            assert layer.shape[0] == model._macs_aggregated
+        np.testing.assert_array_equal(embedding, model.embed_record_node(without))
 
     def test_identical_readings_identical_embeddings(self, fitted):
         model, graph, records = fitted
@@ -141,12 +146,15 @@ class TestInductiveInference:
         distance = np.linalg.norm(probe - train.mean(0))
         assert distance < spread * 4
 
-    def test_refresh_cache_updates_new_macs(self, fitted):
+    def test_refresh_cache_keeps_trained_universe(self, fitted):
         model, graph, records = fitted
-        before = model._cache_hv[-1].copy()
+        readings = {**records[4].readings, "refresh-new-mac": -55.0}
+        graph.add_record(SignalRecord(readings))
+        trained = model._macs_aggregated
         model.refresh_cache()
-        after = model._cache_hv[-1]
-        assert after.shape[0] == graph.num_macs
+        assert graph.num_macs > trained
+        assert model._macs_aggregated == trained
+        assert model.mac_embeddings().shape == (trained, FAST.dim)
         # Layer-0 rows of original MACs are the deterministic initials.
         from repro.graph import MAC
         np.testing.assert_allclose(model._cache_hv[0][0],

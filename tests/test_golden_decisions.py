@@ -3,8 +3,8 @@
 The fixtures under ``tests/golden/`` were generated by the **scalar**
 reference loop (``tests/golden/regenerate.py``); here the same pinned
 lab-world stream runs through ``observe_many`` — via the fleet's
-:class:`~repro.serve.batchplane.BatchPlane`, kernel cache included —
-and the re-serialised decisions are compared against the committed
+:class:`~repro.serve.batchplane.BatchPlane`, the model's inference
+kernel reused across batches — and the re-serialised decisions are compared against the committed
 files as exact text.  Any divergence, down to one mantissa bit of one
 score, fails the byte comparison.
 """

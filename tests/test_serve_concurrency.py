@@ -151,18 +151,19 @@ class TestSwapOnCommitRefresh:
             [("t", r) for r in tenant_records(0, n=8, seed_offset=9)])
         assert len(mid) == 8 and all(d is not None for d in mid)
         assert fleet.batchplane.engaged_total() >= 1
-        model = fleet._cache["t"]
-        stale_kernel = fleet.batchplane._kernels[model][1]
+        stale_kernel = fleet._cache["t"].embedder.model._kernel
+        assert stale_kernel is not None
         gate.release.set()
         thread.join(10.0)
         assert not thread.is_alive()
         assert result["absorbed"] > 0
-        # Post-commit: same model object, swapped embedder — the token
-        # check must rebuild the kernel and reproduce the scalar loop.
+        # Post-commit: same model object, swapped embedder — the batch
+        # must run on the rebuilt embedder's kernel and reproduce the
+        # scalar loop.
         reference = copy.deepcopy(fleet._cache["t"])
         probe = tenant_records(0, n=8, seed_offset=11)
         decisions = fleet.observe_many([("t", r) for r in probe])
-        assert fleet.batchplane._kernels[fleet._cache["t"]][1] is not stale_kernel
+        assert fleet._cache["t"].embedder.model._kernel is not stale_kernel
         assert decisions == [reference.observe(r) for r in probe]
         fleet.close()
 
